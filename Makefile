@@ -20,8 +20,8 @@ GOVULNCHECK_VERSION ?= v1.1.4
 COVER_FLOOR ?= 80.0
 
 .PHONY: ci vet build test test-shuffle race fmtcheck fmt lint lint-tools cover \
-	bce bench-schedule chaos fuzz cert serve-soak bench-serve contend epoch-stress \
-	extsort-battery extsort-fuzz bench-extsort
+	bce bench-schedule chaos fuzz cert serve-soak bench-serve contend store-stress \
+	determinism extsort-battery extsort-fuzz bench-extsort
 
 ci: vet build test race fmtcheck lint cover bce
 
@@ -148,8 +148,8 @@ serve-soak:
 bench-serve:
 	$(GO) run ./cmd/bench -serve
 
-# Plan-store contention sweep: the old mutex LRU vs the lock-free
-# versioned-read store across GOMAXPROCS {1, 4, all}, writing
+# Plan-store contention sweep: a mutex LRU baseline vs the lock-free
+# snapshot store across GOMAXPROCS {1, 4, all}, writing
 # BENCH_contend.json. CONTEND_MINGAIN > 0 arms the lock-plateau gate:
 # the run fails unless the lock-free store's all-core throughput is at
 # least that multiple of its own single-core figure (the gate auto-
@@ -159,15 +159,24 @@ CONTEND_MINGAIN ?= 0
 contend:
 	$(GO) run ./cmd/bench -contend -mingain $(CONTEND_MINGAIN)
 
-# Epoch-reclamation stress: the store's memory-lifecycle invariants
-# (pinned readers never observe a freed program; every retired program
-# is freed exactly once; the sharded admission bound is exact) hammered
-# under the race detector for STRESS_MS milliseconds. Plain `go test`
-# runs the same tests at 200ms; this target is the extended CI leg.
+# Plan-store and admission stress: replays through a capacity-1 store
+# that evicts on every lap must all come out sorted, and the per-bucket
+# admission bound is exact under churn — hammered under the race
+# detector for STRESS_MS milliseconds. Plain `go test` runs the same
+# tests at 200ms; this target is the extended CI leg.
 STRESS_MS ?= 2000
-epoch-stress:
-	STRESS_MS=$(STRESS_MS) $(GO) test -race -count=1 \
-		-run 'TestEpochReclaimStress|TestShardedLimiter' ./internal/serve/
+store-stress:
+	STRESS_MS=$(STRESS_MS) $(GO) test -race -count=1 -v \
+		-run 'TestPlanStoreEvictionStress|TestAdmission' ./internal/serve/ | \
+		awk '{print} /^--- PASS/{n++} END{if (n < 3) {print "store-stress: ran " n+0 " tests, want 3"; exit 1}}'
+
+# Determinism: every report documented as deterministic must be
+# identical whatever the worker count and scheduling, so the cert and
+# randomized-sort tests run many times at several GOMAXPROCS values.
+# The 150 cert runs take about 6 minutes on a 2-CPU host, close to the
+# default 10-minute test timeout, hence the explicit one.
+determinism:
+	$(GO) test -count=50 -cpu=1,2,4 -timeout 30m ./internal/cert/ ./internal/randsort/
 
 # Streaming external sort battery, race-enabled: the extsort package's
 # oracle/property/cancel tests, the serve large-request lane, and the

@@ -4,7 +4,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"runtime"
+	"strings"
 )
 
 // writeJSONArtifact marshals v and writes it to path atomically: the
@@ -49,4 +52,38 @@ func writeJSONArtifact(path string, v any) error {
 		return fmt.Errorf("bench: renaming %s: %w", path, err)
 	}
 	return nil
+}
+
+// benchHost records where and on what a BENCH_*.json was measured, so
+// figures from different machines are never compared as if alike.
+type benchHost struct {
+	CPUModel   string `json:"cpu_model"`
+	NumCPU     int    `json:"num_cpu"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	GoVersion  string `json:"go_version"`
+	GitCommit  string `json:"git_commit"`
+}
+
+// hostInfo fills a benchHost for the running process. The commit comes
+// from git in the working directory; "unknown" when that fails.
+func hostInfo() benchHost {
+	h := benchHost{
+		CPUModel:   "unknown",
+		NumCPU:     runtime.NumCPU(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		GoVersion:  runtime.Version(),
+		GitCommit:  "unknown",
+	}
+	if info, err := os.ReadFile("/proc/cpuinfo"); err == nil {
+		for _, line := range strings.Split(string(info), "\n") {
+			if k, v, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(k) == "model name" {
+				h.CPUModel = strings.TrimSpace(v)
+				break
+			}
+		}
+	}
+	if out, err := exec.Command("git", "rev-parse", "HEAD").Output(); err == nil {
+		h.GitCommit = strings.TrimSpace(string(out))
+	}
+	return h
 }

@@ -4,8 +4,9 @@
 // plan (rotating across three small topologies) and replay one key set
 // through it columnar — lookup plus sort, the steady-state serve path
 // with batching factored out. The sweep runs the op loop on 1, 4 and
-// all cores against both stores: the mutex LRU (PlanCache, the old
-// serving cache) and the lock-free versioned-read store (PlanStore).
+// all cores against both stores: a mutex LRU (planCache, below — the
+// bench's private baseline) and the serving layer's lock-free snapshot
+// store (serve.PlanStore).
 // BENCH_contend.json records ns/op and sorts/s per (store, cores)
 // cell; the lock-plateau regression gate (-mingain, enforced by CI's
 // contend job) fails the run when the new store's all-core throughput
@@ -15,6 +16,7 @@
 package main
 
 import (
+	"container/list"
 	"fmt"
 	"os"
 	"runtime"
@@ -30,6 +32,7 @@ import (
 	"productsort/internal/schedule"
 	"productsort/internal/serve"
 	"productsort/internal/simnet"
+	"productsort/internal/sort2d"
 )
 
 // contendCell is one (store, cores) measurement.
@@ -58,6 +61,7 @@ type contendGate struct {
 
 // contendReport is the BENCH_contend.json schema.
 type contendReport struct {
+	Host        benchHost     `json:"host"`
 	NumCPU      int           `json:"num_cpu"`
 	Procs       []int         `json:"procs"`
 	DurationPer string        `json:"duration_per_cell"`
@@ -67,11 +71,10 @@ type contendReport struct {
 }
 
 // planResolver abstracts the two stores under test: resolve the
-// program for a plan, use it, release. The mutex LRU has no pins, so
-// its release is a no-op.
+// program for a plan. Neither needs a release after use.
 type planResolver struct {
 	name    string
-	resolve func(p *serve.Plan) (*schedule.Program, func(), error)
+	resolve func(p *serve.Plan) (*schedule.Program, error)
 }
 
 // contendPlans builds the rotating working set: three small distinct
@@ -101,8 +104,8 @@ func splitmix64(x *uint64) uint64 {
 }
 
 // contendWorker loops the warm serving op until stop closes: resolve
-// the next plan's program, refill the private key set, replay it, and
-// release. Returns the op count.
+// the next plan's program, refill the private key set and replay it.
+// Returns the op count.
 func contendWorker(r *planResolver, plans []*serve.Plan, seed uint64, stop <-chan struct{}) (int64, error) {
 	buf := schedule.NewColumnBuffer()
 	// Per-plan private key sets, widest first so one slab serves all.
@@ -118,7 +121,7 @@ func contendWorker(r *planResolver, plans []*serve.Plan, seed uint64, stop <-cha
 		default:
 		}
 		p := plans[int(ops)%len(plans)]
-		prog, release, err := r.resolve(p)
+		prog, err := r.resolve(p)
 		if err != nil {
 			return ops, err
 		}
@@ -126,9 +129,7 @@ func contendWorker(r *planResolver, plans []*serve.Plan, seed uint64, stop <-cha
 		for j := range keys {
 			keys[j] = simnet.Key(splitmix64(&seed) >> 1)
 		}
-		err = schedule.RunBatchColumnar(prog, sets[int(ops)%len(plans)], 1, buf)
-		release()
-		if err != nil {
+		if err := schedule.RunBatchColumnar(prog, sets[int(ops)%len(plans)], 1, buf); err != nil {
 			return ops, err
 		}
 		ops++
@@ -242,21 +243,21 @@ func runContendBench(outPath, procsCSV string, dur time.Duration, mingain float6
 	newResolver := func(store string) *planResolver {
 		switch store {
 		case "mutex-lru":
-			c := serve.NewPlanCache(len(plans)+1, obs.NewMetrics())
-			return &planResolver{name: store, resolve: func(p *serve.Plan) (*schedule.Program, func(), error) {
-				prog, err := c.Get(p, pl.Engine())
-				return prog, func() {}, err
+			c := newPlanCache(len(plans)+1, obs.NewMetrics())
+			return &planResolver{name: store, resolve: func(p *serve.Plan) (*schedule.Program, error) {
+				return c.Get(p, pl.Engine())
 			}}
 		default: // lock-free
 			s := serve.NewPlanStore(len(plans)+1, obs.NewMetrics())
-			return &planResolver{name: store, resolve: func(p *serve.Plan) (*schedule.Program, func(), error) {
-				prog, pin, err := s.Acquire(p, pl.Engine())
-				return prog, pin.Release, err
+			return &planResolver{name: store, resolve: func(p *serve.Plan) (*schedule.Program, error) {
+				prog, _, err := s.Acquire(p, pl.Engine())
+				return prog, err
 			}}
 		}
 	}
 
 	rep := contendReport{
+		Host:        hostInfo(),
 		NumCPU:      runtime.NumCPU(),
 		Procs:       procs,
 		DurationPer: dur.String(),
@@ -317,4 +318,84 @@ func runContendBench(outPath, procsCSV string, dur time.Duration, mingain float6
 		fmt.Printf("gate skipped: %s\n", gate.SkipReason)
 	}
 	return nil
+}
+
+// planCache is the mutex baseline the sweep measures the plan store
+// against: a bounded LRU of compiled programs behind one mutex, keyed
+// by plan name, that serialises every lookup — hit or miss.
+type planCache struct {
+	mu    sync.Mutex
+	cap   int
+	ll    *list.List               // front = most recently used
+	byKey map[string]*list.Element // plan name -> element holding *cacheSlot
+
+	hits, misses, evictions *obs.Counter
+}
+
+// cacheSlot is a once-guarded cache entry: concurrent misses on one
+// plan coalesce into a single compilation, and residency is decided
+// before the (possibly slow) build runs so the cache lock is never
+// held across a compile.
+type cacheSlot struct {
+	key  string
+	once sync.Once
+	prog *schedule.Program
+	err  error
+}
+
+// newPlanCache returns an LRU holding at most capacity programs
+// (minimum 1), counting into m under bench.plancache.*.
+func newPlanCache(capacity int, m *obs.Metrics) *planCache {
+	return &planCache{
+		cap:       max(capacity, 1),
+		ll:        list.New(),
+		byKey:     make(map[string]*list.Element),
+		hits:      m.Counter("bench.plancache.hits"),
+		misses:    m.Counter("bench.plancache.misses"),
+		evictions: m.Counter("bench.plancache.evictions"),
+	}
+}
+
+// Len reports the resident entry count.
+func (c *planCache) Len() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.ll.Len()
+}
+
+// Get returns the compiled program for plan, compiling with engine on a
+// miss. A miss inserts the slot at the front and evicts from the back
+// beyond capacity; the compile itself runs outside the cache lock, and
+// a failed compile gives up its residency so a later Get can retry.
+func (c *planCache) Get(plan *serve.Plan, engine sort2d.Engine) (*schedule.Program, error) {
+	key := plan.Name()
+	c.mu.Lock()
+	if el, ok := c.byKey[key]; ok {
+		c.ll.MoveToFront(el)
+		c.hits.Inc()
+		slot := el.Value.(*cacheSlot)
+		c.mu.Unlock()
+		slot.once.Do(func() { slot.prog, slot.err = schedule.CompileUncached(plan.Net, engine) })
+		return slot.prog, slot.err
+	}
+	c.misses.Inc()
+	slot := &cacheSlot{key: key}
+	c.byKey[key] = c.ll.PushFront(slot)
+	for c.ll.Len() > c.cap {
+		back := c.ll.Back()
+		c.ll.Remove(back)
+		delete(c.byKey, back.Value.(*cacheSlot).key)
+		c.evictions.Inc()
+	}
+	c.mu.Unlock()
+	slot.once.Do(func() { slot.prog, slot.err = schedule.CompileUncached(plan.Net, engine) })
+	if slot.err != nil {
+		c.mu.Lock()
+		if el, ok := c.byKey[key]; ok && el.Value.(*cacheSlot) == slot {
+			c.ll.Remove(el)
+			delete(c.byKey, key)
+		}
+		c.mu.Unlock()
+	}
+	return slot.prog, slot.err
 }

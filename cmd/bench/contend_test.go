@@ -6,8 +6,13 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
+
+	"productsort/internal/obs"
+	"productsort/internal/schedule"
+	"productsort/internal/serve"
 )
 
 func TestParseProcs(t *testing.T) {
@@ -57,6 +62,9 @@ func TestRunContendBenchSweep(t *testing.T) {
 	var rep contendReport
 	if err := json.Unmarshal(data, &rep); err != nil {
 		t.Fatalf("artifact is not valid JSON: %v", err)
+	}
+	if rep.Host.NumCPU < 1 || rep.Host.GOMAXPROCS < 1 || rep.Host.GoVersion == "" || rep.Host.GitCommit == "" {
+		t.Errorf("host block incomplete: %+v", rep.Host)
 	}
 	if len(rep.Cells) != 4 {
 		t.Fatalf("got %d cells, want 4 (2 stores x 2 proc counts)", len(rep.Cells))
@@ -115,5 +123,77 @@ func TestSplitmix64Deterministic(t *testing.T) {
 	c, d := uint64(1), uint64(2)
 	if splitmix64(&c) == splitmix64(&d) {
 		t.Fatal("distinct seeds produced identical first draw")
+	}
+}
+
+// TestPlanCacheLRU: the mutex baseline's hits refresh recency, capacity
+// evicts the least recently used entry, and a re-Get after eviction
+// recompiles.
+func TestPlanCacheLRU(t *testing.T) {
+	pl, plans, err := contendPlans()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := newPlanCache(2, obs.NewMetrics())
+
+	get := func(p *serve.Plan) {
+		t.Helper()
+		prog, err := c.Get(p, pl.Engine())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if prog.Net() != p.Net {
+			t.Fatalf("cache returned program for %s, want %s", prog.Net().Name(), p.Name())
+		}
+	}
+
+	get(plans[0]) // miss
+	get(plans[0]) // hit
+	get(plans[1]) // miss; order now [1, 0]
+	get(plans[0]) // hit;  order now [0, 1]
+	get(plans[2]) // miss; evicts 1
+	if h, mi, ev := c.hits.Value(), c.misses.Value(), c.evictions.Value(); h != 2 || mi != 3 || ev != 1 {
+		t.Fatalf("hits/misses/evictions = %d/%d/%d, want 2/3/1", h, mi, ev)
+	}
+	get(plans[1]) // miss again: it was evicted
+	if mi := c.misses.Value(); mi != 4 {
+		t.Fatalf("misses = %d, want 4", mi)
+	}
+	if c.Len() != 2 {
+		t.Fatalf("Len = %d, want 2", c.Len())
+	}
+}
+
+// TestPlanCacheConcurrentGets: many goroutines hammering the baseline
+// agree on one program per residency (the once-guard coalesces
+// compiles), and the cache stays consistent under the race detector.
+func TestPlanCacheConcurrentGets(t *testing.T) {
+	pl, plans, err := contendPlans()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := newPlanCache(2, obs.NewMetrics())
+	var wg sync.WaitGroup
+	progs := make([]*schedule.Program, 16)
+	for i := range progs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			prog, err := c.Get(plans[i%len(plans)], pl.Engine())
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			progs[i] = prog
+		}(i)
+	}
+	wg.Wait()
+	for i, p := range progs {
+		if p == nil {
+			t.Fatalf("goroutine %d got no program", i)
+		}
+	}
+	if c.Len() > 2 {
+		t.Fatalf("Len = %d exceeds capacity", c.Len())
 	}
 }

@@ -30,8 +30,9 @@ type scheduleEntry struct {
 	Speedup float64 `json:"speedup"`
 	// RowsPerSetNs and ColsPerSetNs are the single-worker rows-vs-
 	// columns head-to-head: the same full-size batch replayed through
-	// the row-at-a-time snake path (RunBatchSnake) and the columnar
-	// kernel (RunBatchColumnar), best of 3, per set.
+	// a row-at-a-time loop over ExecBackend.Run (each set transposed
+	// into node order and back) and the columnar kernel
+	// (RunBatchColumnar), best of 3, per set.
 	RowsPerSetNs int64 `json:"rowsPerSetNs"`
 	ColsPerSetNs int64 `json:"colsPerSetNs"`
 	// ColSpeedup is RowsPerSetNs / ColsPerSetNs — the factor the
@@ -342,10 +343,10 @@ func plannerSelections() ([]plannerPick, error) {
 	return picks, nil
 }
 
-// rowsVsColumns times the same full-size batch through the row-at-a-
-// time snake replay (RunBatchSnake) and the columnar kernel
-// (RunBatchColumnar), single worker so the numbers compare kernels and
-// not scheduling. Best of 3 runs each, per-set nanoseconds.
+// rowsVsColumns times the same full-size batch through a row-at-a-time
+// ExecBackend.Run loop and the columnar kernel (RunBatchColumnar),
+// single worker so the numbers compare kernels and not scheduling.
+// Best of 3 runs each, per-set nanoseconds.
 func rowsVsColumns(factor *graph.Graph, r, sets int, gen workload.Gen) (rowsNs, colsNs int64, err error) {
 	net := product.MustNew(factor, r)
 	prog, err := schedule.Compile(net, nil)
@@ -367,11 +368,28 @@ func rowsVsColumns(factor *graph.Graph, r, sets int, gen workload.Gen) (rowsNs, 
 		}
 	}
 
-	rowBuf := schedule.NewBatchBuffer()
+	// The row path: each set goes into node order, through one
+	// ExecBackend.Run, and back out in snake order.
+	perm := prog.SnakePerm()
+	scratch := make([]productsort.Key, nodes)
+	runRows := func() error {
+		for _, keys := range batch {
+			for pos, k := range keys {
+				scratch[perm[pos]] = k
+			}
+			if _, err := (schedule.ExecBackend{}).Run(prog, scratch); err != nil {
+				return err
+			}
+			for pos := range keys {
+				keys[pos] = scratch[perm[pos]]
+			}
+		}
+		return nil
+	}
 	colBuf := schedule.NewColumnBuffer()
-	// Warm both pools so the timed runs see the steady-state path.
+	// Warm both paths so the timed runs see the steady-state path.
 	reload()
-	if err := schedule.RunBatchSnake(prog, batch, 1, rowBuf); err != nil {
+	if err := runRows(); err != nil {
 		return 0, 0, err
 	}
 	reload()
@@ -383,7 +401,7 @@ func rowsVsColumns(factor *graph.Graph, r, sets int, gen workload.Gen) (rowsNs, 
 	for rep := 0; rep < 3; rep++ {
 		reload()
 		start := time.Now()
-		if err := schedule.RunBatchSnake(prog, batch, 1, rowBuf); err != nil {
+		if err := runRows(); err != nil {
 			return 0, 0, err
 		}
 		if d := time.Since(start); rep == 0 || d < rows {

@@ -115,7 +115,10 @@ func (lay *layout) deadComparators(cov []bool) []DeadComparator {
 // exhaustive replays all 2^n vectors. Workers own strided block ranges
 // and race toward the smallest failing vector index; a worker abandons
 // blocks that can no longer improve the current minimum, so the
-// reported witness is the global minimum regardless of scheduling.
+// reported witness is the global minimum regardless of scheduling. The
+// work counts are too: a failing run reports the block prefix up to
+// and including the failing block, not whatever blocks the workers
+// happened to finish before they stopped.
 func exhaustive(prog *schedule.Program, opt Options) (*Result, error) {
 	start := time.Now()
 	lay := newLayout(prog)
@@ -129,7 +132,6 @@ func exhaustive(prog *schedule.Program, opt Options) (*Result, error) {
 
 	var earliest atomic.Uint64
 	earliest.Store(math.MaxUint64)
-	var wordsDone atomic.Uint64
 	covs := make([][]bool, workers)
 
 	var wg sync.WaitGroup
@@ -140,7 +142,6 @@ func exhaustive(prog *schedule.Program, opt Options) (*Result, error) {
 			words := make([]uint64, n)
 			cov := make([]bool, lay.comparators)
 			covs[w] = cov
-			var done uint64
 			for blk := uint64(w); blk < blocks; blk += uint64(workers) {
 				base := blk << 6
 				if base >= earliest.Load() {
@@ -157,7 +158,6 @@ func exhaustive(prog *schedule.Program, opt Options) (*Result, error) {
 					}
 				}
 				lay.replayWord(words, cov)
-				done++
 				if bad := lay.violations(words); bad != 0 {
 					vec := base + uint64(bits.TrailingZeros64(bad))
 					for {
@@ -168,22 +168,26 @@ func exhaustive(prog *schedule.Program, opt Options) (*Result, error) {
 					}
 				}
 			}
-			wordsDone.Add(done)
 		}(w)
 	}
 	wg.Wait()
 
+	fail := earliest.Load()
+	words := blocks
+	if fail != math.MaxUint64 {
+		words = fail>>6 + 1
+	}
 	res := &Result{
 		Exhaustive:  true,
 		Keys:        n,
 		Vectors:     totalVecs,
-		Words:       wordsDone.Load(),
-		WordOps:     wordsDone.Load() * uint64(lay.comparators),
+		Words:       words,
+		WordOps:     words * uint64(lay.comparators),
 		Ops:         len(lay.exOps),
 		Comparators: lay.comparators,
 		Elapsed:     time.Since(start),
 	}
-	if fail := earliest.Load(); fail != math.MaxUint64 {
+	if fail != math.MaxUint64 {
 		vec := make([]byte, n)
 		for p := 0; p < n; p++ {
 			vec[p] = byte((fail >> p) & 1)
@@ -201,7 +205,8 @@ func exhaustive(prog *schedule.Program, opt Options) (*Result, error) {
 // sampled replays a seeded uniform random 0-1 sample. Block contents
 // are a pure function of (seed, block index), so the run — including
 // any witness — is reproducible and independent of worker scheduling:
-// workers race toward the lowest failing block index.
+// workers race toward the lowest failing block index, and a failing
+// run's counts cover the block prefix through that index.
 func sampled(prog *schedule.Program, opt Options) (*Result, error) {
 	start := time.Now()
 	lay := newLayout(prog)
@@ -216,7 +221,6 @@ func sampled(prog *schedule.Program, opt Options) (*Result, error) {
 	var mu sync.Mutex
 	var bestVec []byte
 	var bestBlockLocked uint64 = math.MaxUint64
-	var wordsDone atomic.Uint64
 	covs := make([][]bool, workers)
 
 	var wg sync.WaitGroup
@@ -228,7 +232,6 @@ func sampled(prog *schedule.Program, opt Options) (*Result, error) {
 			initial := make([]uint64, n)
 			cov := make([]bool, lay.comparators)
 			covs[w] = cov
-			var done uint64
 			for blk := uint64(w); blk < blocks; blk += uint64(workers) {
 				if blk >= bestBlock.Load() {
 					break
@@ -240,7 +243,6 @@ func sampled(prog *schedule.Program, opt Options) (*Result, error) {
 					initial[node] = x
 				}
 				lay.replayWord(words, cov)
-				done++
 				if bad := lay.violations(words); bad != 0 {
 					lane := bits.TrailingZeros64(bad)
 					for {
@@ -263,17 +265,20 @@ func sampled(prog *schedule.Program, opt Options) (*Result, error) {
 					}
 				}
 			}
-			wordsDone.Add(done)
 		}(w)
 	}
 	wg.Wait()
 
+	words := blocks
+	if bestVec != nil {
+		words = bestBlockLocked + 1
+	}
 	res := &Result{
 		Exhaustive:  false,
 		Keys:        n,
-		Vectors:     wordsDone.Load() * 64,
-		Words:       wordsDone.Load(),
-		WordOps:     wordsDone.Load() * uint64(lay.comparators),
+		Vectors:     words * 64,
+		Words:       words,
+		WordOps:     words * uint64(lay.comparators),
 		Ops:         len(lay.exOps),
 		Comparators: lay.comparators,
 		Elapsed:     time.Since(start),

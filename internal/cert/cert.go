@@ -157,10 +157,13 @@ type Result struct {
 	Keys int `json:"keys"`
 	// Vectors is the number of distinct 0-1 inputs certified.
 	Vectors uint64 `json:"vectors"`
-	// Words is the number of 64-vector word blocks replayed.
+	// Words is the number of 64-vector word blocks the verdict rests
+	// on: every block when certified, the block prefix through the
+	// first failing block otherwise. It is a pure function of the
+	// program and the options, whatever the worker count.
 	Words uint64 `json:"words"`
-	// WordOps is the number of comparator word operations executed —
-	// the work the bitsliced engine actually did.
+	// WordOps is Words times the comparator count: the bitsliced
+	// comparator word operations the verdict rests on.
 	WordOps uint64 `json:"wordOps"`
 	// Ops is the number of round-consuming exchange ops in the program.
 	Ops int `json:"ops"`

@@ -2,6 +2,7 @@ package cert
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"productsort/internal/graph"
@@ -321,6 +322,51 @@ func TestWorkerCountsAgree(t *testing.T) {
 		}
 		if fmt.Sprint(res.Witness) != fmt.Sprint(base) {
 			t.Fatalf("witness differs across worker counts: %v vs %v", res.Witness, base)
+		}
+	}
+}
+
+// TestResultsIndependentOfWorkers: every Result field but Elapsed —
+// verdict, witness and the work counts — is a pure function of the
+// program and the options, in both modes and for both verdicts. A
+// failing run used to report whatever blocks the workers happened to
+// finish before the early exit.
+func TestResultsIndependentOfWorkers(t *testing.T) {
+	prog := compileHypercube(t, 4)
+	ops := cloneOps(prog.Ops())
+	for i := len(ops) - 1; i >= 0; i-- {
+		if ops[i].Kind == schedule.OpCompareExchange || ops[i].Kind == schedule.OpRoutedExchange {
+			for j := range ops[i].Pairs {
+				ops[i].Pairs[j][0], ops[i].Pairs[j][1] = ops[i].Pairs[j][1], ops[i].Pairs[j][0]
+			}
+			break
+		}
+	}
+	broken, err := schedule.NewProgram(prog.Net(), prog.Engine(), ops)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []struct {
+		name string
+		prog *schedule.Program
+	}{{"pristine", prog}, {"broken", broken}} {
+		for _, sampled := range []bool{false, true} {
+			var base *Result
+			for _, workers := range []int{1, 2, 8} {
+				res, err := Run(p.prog, Options{Workers: workers, ForceSampled: sampled, SampleVectors: 1 << 12, Seed: 7})
+				if err != nil {
+					t.Fatal(err)
+				}
+				res.Elapsed = 0
+				if base == nil {
+					base = res
+					continue
+				}
+				if !reflect.DeepEqual(res, base) {
+					t.Fatalf("%s sampled=%v: workers=%d result %+v differs from workers=1 %+v",
+						p.name, sampled, workers, res, base)
+				}
+			}
 		}
 	}
 }

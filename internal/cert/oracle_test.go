@@ -12,41 +12,68 @@ import (
 // a time, no bit tricks. Any disagreement between the bitsliced engine
 // and this oracle is a certifier bug.
 
+// oracle is the evaluator prepared for one program: the snake order
+// and the exchange pairs in program order, read once so an exhaustive
+// sweep does not re-derive them for every vector.
+type oracle struct {
+	snake []int    // snake position -> node id
+	pairs [][2]int // every compare-exchange pair, in program order
+	keys  []int    // node-indexed scratch
+}
+
+func newOracle(prog *schedule.Program) *oracle {
+	net := prog.Net()
+	o := &oracle{snake: make([]int, net.Nodes()), keys: make([]int, net.Nodes())}
+	for p := range o.snake {
+		o.snake[p] = net.NodeAtSnake(p)
+	}
+	for _, op := range prog.Ops() {
+		if op.Kind == schedule.OpCompareExchange || op.Kind == schedule.OpRoutedExchange {
+			o.pairs = append(o.pairs, op.Pairs...)
+		}
+	}
+	return o
+}
+
+// replay runs the program over one 0-1 vector (snake order), leaving
+// the node-indexed result in o.keys.
+func (o *oracle) replay(vec []byte) {
+	for p, node := range o.snake {
+		o.keys[node] = int(vec[p])
+	}
+	for _, pr := range o.pairs {
+		if o.keys[pr[0]] > o.keys[pr[1]] {
+			o.keys[pr[0]], o.keys[pr[1]] = o.keys[pr[1]], o.keys[pr[0]]
+		}
+	}
+}
+
+// sorts reports whether the program sorts the one 0-1 vector.
+func (o *oracle) sorts(vec []byte) bool {
+	o.replay(vec)
+	for p := 1; p < len(o.snake); p++ {
+		if o.keys[o.snake[p]] < o.keys[o.snake[p-1]] {
+			return false
+		}
+	}
+	return true
+}
+
 // oracleReplay runs prog over one 0-1 vector (snake order) and returns
 // the output in snake order.
 func oracleReplay(prog *schedule.Program, vec []byte) []int {
-	net := prog.Net()
-	n := net.Nodes()
-	keys := make([]int, n)
-	for p := 0; p < n; p++ {
-		keys[net.NodeAtSnake(p)] = int(vec[p])
-	}
-	for _, op := range prog.Ops() {
-		if op.Kind != schedule.OpCompareExchange && op.Kind != schedule.OpRoutedExchange {
-			continue
-		}
-		for _, pr := range op.Pairs {
-			if keys[pr[0]] > keys[pr[1]] {
-				keys[pr[0]], keys[pr[1]] = keys[pr[1]], keys[pr[0]]
-			}
-		}
-	}
-	out := make([]int, n)
-	for p := 0; p < n; p++ {
-		out[p] = keys[net.NodeAtSnake(p)]
+	o := newOracle(prog)
+	o.replay(vec)
+	out := make([]int, len(o.snake))
+	for p, node := range o.snake {
+		out[p] = o.keys[node]
 	}
 	return out
 }
 
 // oracleSorts reports whether prog sorts the one 0-1 vector.
 func oracleSorts(prog *schedule.Program, vec []byte) bool {
-	out := oracleReplay(prog, vec)
-	for p := 1; p < len(out); p++ {
-		if out[p] < out[p-1] {
-			return false
-		}
-	}
-	return true
+	return newOracle(prog).sorts(vec)
 }
 
 // oracleSortsAll exhaustively checks all 2^n 0-1 vectors — by the 0-1
@@ -57,12 +84,13 @@ func oracleSortsAll(t *testing.T, prog *schedule.Program) bool {
 	if n > 20 {
 		t.Fatalf("oracle is for small networks; %d keys is too many", n)
 	}
+	o := newOracle(prog)
 	vec := make([]byte, n)
 	for v := 0; v < 1<<n; v++ {
 		for p := 0; p < n; p++ {
 			vec[p] = byte((v >> p) & 1)
 		}
-		if !oracleSorts(prog, vec) {
+		if !o.sorts(vec) {
 			return false
 		}
 	}

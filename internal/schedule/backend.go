@@ -5,8 +5,6 @@ package schedule
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
 
 	"productsort/internal/obs"
 	"productsort/internal/simnet"
@@ -147,180 +145,3 @@ func ReplayOnMachine(prog *Program, m *simnet.Machine) {
 // the item's own keys occupy the snake prefix (see THEORY.md §12 for why
 // the 0-1 certification argument survives the padding).
 const Sentinel simnet.Key = math.MaxInt64
-
-// BatchBuffer recycles the node-indexed scratch slices batch replay
-// transposes items through, so a steady stream of batches allocates
-// nothing per item. The zero value is ready to use; one buffer may be
-// shared by any number of concurrent RunBatchSnake calls, though a
-// buffer serving a single topology recycles best (mixed sizes drop
-// undersized slabs and regrow).
-type BatchBuffer struct {
-	pool sync.Pool // *[]simnet.Key
-}
-
-// NewBatchBuffer returns an empty buffer.
-func NewBatchBuffer() *BatchBuffer { return &BatchBuffer{} }
-
-// get returns a pooled slab of length n (allocating only when the pool
-// is empty or its slab is too small).
-func (bb *BatchBuffer) get(n int) *[]simnet.Key {
-	if v := bb.pool.Get(); v != nil {
-		s := v.(*[]simnet.Key)
-		if cap(*s) >= n {
-			*s = (*s)[:n]
-			return s
-		}
-	}
-	s := make([]simnet.Key, n)
-	return &s
-}
-
-// put returns a slab to the pool.
-func (bb *BatchBuffer) put(s *[]simnet.Key) { bb.pool.Put(s) }
-
-// RunBatchSnake sorts every key set of batch through one compiled
-// program, each given and returned in snake order, sorted in place.
-// Items may be shorter than the network: their scratch image is padded
-// with Sentinel keys (never the caller's slice), so one program serves
-// every request size it covers — the agglomeration move the serving
-// layer is built on. workers < 1 selects len(batch) capped at
-// GOMAXPROCS (the repo-wide fan-out convention); buf (nil for a
-// call-private one) recycles the node-indexed scratch across calls,
-// which makes the warm single-worker path allocation-free per item
-// (pinned by TestRunBatchSnakeZeroAlloc).
-func RunBatchSnake(prog *Program, batch [][]simnet.Key, workers int, buf *BatchBuffer) error {
-	nodes := prog.net.Nodes()
-	for i, keys := range batch {
-		if len(keys) == 0 || len(keys) > nodes {
-			return fmt.Errorf("schedule: batch[%d] has %d keys for %d nodes", i, len(keys), nodes)
-		}
-	}
-	if len(batch) == 0 {
-		return nil
-	}
-	if buf == nil {
-		buf = NewBatchBuffer()
-	}
-	if workers < 1 {
-		workers = len(batch)
-		if mx := runtime.GOMAXPROCS(0); workers > mx {
-			workers = mx
-		}
-	}
-	if workers > len(batch) {
-		workers = len(batch)
-	}
-	if workers <= 1 {
-		perm := prog.SnakePerm()
-		sp := buf.get(len(perm))
-		for _, keys := range batch {
-			snakeItem(prog, perm, *sp, keys)
-		}
-		buf.put(sp)
-		return nil
-	}
-	var wg sync.WaitGroup
-	next := make(chan []simnet.Key)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			snakeReplay(prog, buf, next)
-		}()
-	}
-	for _, keys := range batch {
-		next <- keys
-	}
-	close(next)
-	wg.Wait()
-	return nil
-}
-
-// snakeReplay drains items through one pooled scratch slab held for the
-// worker's whole lifetime.
-func snakeReplay(prog *Program, buf *BatchBuffer, items <-chan []simnet.Key) {
-	perm := prog.SnakePerm()
-	sp := buf.get(len(perm))
-	for keys := range items {
-		snakeItem(prog, perm, *sp, keys)
-	}
-	buf.put(sp)
-}
-
-// snakeItem sorts one snake-order item in place through scratch:
-// transpose in, pad the tail with sentinels, replay, transpose back.
-// The item's length was validated by RunBatchSnake, and ExecBackend.Run
-// on a correctly sized scratch cannot fail, so there is no error path.
-func snakeItem(prog *Program, perm []int, scratch []simnet.Key, keys []simnet.Key) {
-	for pos, k := range keys {
-		scratch[perm[pos]] = k
-	}
-	for pos := len(keys); pos < len(scratch); pos++ {
-		scratch[perm[pos]] = Sentinel
-	}
-	if _, err := (ExecBackend{}).Run(prog, scratch); err != nil {
-		// Unreachable: scratch length always matches the program.
-		panic(err)
-	}
-	for pos := range keys {
-		keys[pos] = scratch[perm[pos]]
-	}
-}
-
-// RunBatch sorts every key set of batch (each indexed by node id, in
-// place) through one compiled program with a pool of workers — the
-// many-sorts-one-topology throughput mode. workers < 1 selects
-// len(batch) capped at GOMAXPROCS. Each worker replays sequentially;
-// the parallelism is across independent key sets, which is where batch
-// throughput lives.
-func RunBatch(prog *Program, batch [][]simnet.Key, workers int) error {
-	for i, keys := range batch {
-		if len(keys) != prog.net.Nodes() {
-			return fmt.Errorf("schedule: batch[%d] has %d keys for %d nodes", i, len(keys), prog.net.Nodes())
-		}
-	}
-	if workers < 1 {
-		workers = len(batch)
-		if mx := runtime.GOMAXPROCS(0); workers > mx {
-			workers = mx
-		}
-	}
-	if workers > len(batch) {
-		workers = len(batch)
-	}
-	if workers <= 1 {
-		be := ExecBackend{}
-		for _, keys := range batch {
-			if _, err := be.Run(prog, keys); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	var wg sync.WaitGroup
-	next := make(chan []simnet.Key)
-	errs := make([]error, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			be := ExecBackend{}
-			for keys := range next {
-				if _, err := be.Run(prog, keys); err != nil && errs[w] == nil {
-					errs[w] = err
-				}
-			}
-		}(w)
-	}
-	for _, keys := range batch {
-		next <- keys
-	}
-	close(next)
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}

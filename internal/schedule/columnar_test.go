@@ -54,7 +54,7 @@ func TestLoweredComparatorsEquivalence(t *testing.T) {
 // TestRunBatchColumnarMixedSizes checks the columnar replay against the
 // reference sort for items spanning every admissible length,
 // sequentially and tiled across workers, with and without a shared
-// buffer — the columnar mirror of TestRunBatchSnakeMixedSizes.
+// buffer.
 func TestRunBatchColumnarMixedSizes(t *testing.T) {
 	net := product.MustNew(graph.Path(4), 2) // 16 nodes
 	prog, err := Compile(net, nil)
@@ -86,9 +86,30 @@ func TestRunBatchColumnarMixedSizes(t *testing.T) {
 	}
 }
 
-// TestRunBatchColumnarMatchesSnake: both batch paths are replays of the
-// same program, so on identical input batches they must produce
-// identical output — not merely both sorted.
+// execSnake is the reference for one snake-order item: pad it with
+// Sentinel to the network's size in node order, replay it through the
+// ExecBackend oracle, and read the item's snake prefix back.
+func execSnake(prog *Program, scratch, keys []simnet.Key) error {
+	perm := prog.SnakePerm()
+	for pos := range scratch {
+		scratch[perm[pos]] = Sentinel
+	}
+	for pos, k := range keys {
+		scratch[perm[pos]] = k
+	}
+	if _, err := (ExecBackend{}).Run(prog, scratch); err != nil {
+		return err
+	}
+	for pos := range keys {
+		keys[pos] = scratch[perm[pos]]
+	}
+	return nil
+}
+
+// TestRunBatchColumnarMatchesSnake: the columnar replay and a per-item,
+// snake-order ExecBackend.Run replay the same program, so on identical
+// input batches they must produce identical output — not merely both
+// sorted.
 func TestRunBatchColumnarMatchesSnake(t *testing.T) {
 	net := product.MustNew(graph.K2(), 4) // 16 nodes
 	prog, err := Compile(net, nil)
@@ -98,8 +119,11 @@ func TestRunBatchColumnarMatchesSnake(t *testing.T) {
 	sizes := []int{16, 1, 9, 16, 3, 12, 16, 7}
 	rows := mixedBatch(sizes, 29)
 	cols := mixedBatch(sizes, 29)
-	if err := RunBatchSnake(prog, rows, 1, nil); err != nil {
-		t.Fatal(err)
+	scratch := make([]simnet.Key, net.Nodes())
+	for _, keys := range rows {
+		if err := execSnake(prog, scratch, keys); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := RunBatchColumnar(prog, cols, 1, nil); err != nil {
 		t.Fatal(err)
@@ -107,15 +131,14 @@ func TestRunBatchColumnarMatchesSnake(t *testing.T) {
 	for i := range rows {
 		for j := range rows[i] {
 			if rows[i][j] != cols[i][j] {
-				t.Fatalf("item %d pos %d: snake %d, columnar %d", i, j, rows[i][j], cols[i][j])
+				t.Fatalf("item %d pos %d: exec %d, columnar %d", i, j, rows[i][j], cols[i][j])
 			}
 		}
 	}
 }
 
-// TestRunBatchColumnarRejectsBadSizes: same admission contract as
-// RunBatchSnake — empty and oversized items are errors, an empty batch
-// is a no-op.
+// TestRunBatchColumnarRejectsBadSizes: empty and oversized items are
+// errors, an empty batch is a no-op.
 func TestRunBatchColumnarRejectsBadSizes(t *testing.T) {
 	net := product.MustNew(graph.K2(), 3) // 8 nodes
 	prog, err := Compile(net, nil)
@@ -240,8 +263,8 @@ func TestRunBatchColumnarWorkersClamp(t *testing.T) {
 
 // BenchmarkBatchRowsVsColumns is the kernel head-to-head behind the
 // BENCH_schedule.json rows-vs-columns columns: the same 32-set batch on
-// a 64-node network through the row-at-a-time snake replay and the
-// columnar kernel.
+// a 64-node network through a row-at-a-time ExecBackend.Run loop and
+// the columnar kernel.
 func BenchmarkBatchRowsVsColumns(b *testing.B) {
 	net := product.MustNew(graph.Path(8), 2) // 64 nodes
 	prog, err := Compile(net, nil)
@@ -254,12 +277,14 @@ func BenchmarkBatchRowsVsColumns(b *testing.B) {
 	}
 
 	b.Run("rows", func(b *testing.B) {
-		buf := NewBatchBuffer()
+		scratch := make([]simnet.Key, net.Nodes())
 		batch := mixedBatch(sizes, 1)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if err := RunBatchSnake(prog, batch, 1, buf); err != nil {
-				b.Fatal(err)
+			for _, keys := range batch {
+				if err := execSnake(prog, scratch, keys); err != nil {
+					b.Fatal(err)
+				}
 			}
 		}
 	})

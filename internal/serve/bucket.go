@@ -1,14 +1,14 @@
 // Buckets: per-plan dynamic batching with bounded occupancy.
 //
-// Occupancy is bounded by a sharded limiter (admission.go) instead of
-// one hot atomic, and the bucket no longer pins its compiled program:
-// each flush acquires the program from the plan store for exactly the
-// replay's duration, so the store's eviction and epoch reclamation
-// stay honest even for a plan with a permanently busy bucket.
+// Occupancy is one atomic counter per bucket, and the bucket does not
+// hold its compiled program: each flush acquires the program from the
+// plan store, so eviction stays honest even for a plan with a
+// permanently busy bucket.
 
 package serve
 
 import (
+	"sync/atomic"
 	"time"
 
 	"productsort/internal/obs"
@@ -18,8 +18,8 @@ import (
 // BatchSizeBuckets is the histogram layout for flushed batch sizes.
 var BatchSizeBuckets = []int64{1, 2, 4, 8, 16, 32, 64, 128, 256}
 
-// drainPoll is how often a draining bucket loop re-folds its limiter
-// while waiting for in-flight submissions and flushes to settle.
+// drainPoll is how often a draining bucket loop re-reads its
+// occupancy while waiting for in-flight submissions and flushes to settle.
 const drainPoll = 50 * time.Microsecond
 
 // bucket batches every request the planner maps to one plan. All
@@ -29,9 +29,9 @@ type bucket struct {
 	srv  *Server
 	plan *Plan
 
-	queue   chan *request
-	limiter *shardedLimiter // admitted minus replied; bounded by QueueDepth
-	cols    *schedule.ColumnBuffer
+	queue       chan *request
+	outstanding atomic.Int64 // admitted minus replied; bounded by QueueDepth
+	cols        *schedule.ColumnBuffer
 
 	occupancy *obs.Gauge
 	latency   *obs.Histogram
@@ -42,17 +42,16 @@ type bucket struct {
 	familyC   *obs.Counter // serve.planner.family.<family>, shared across same-family buckets
 }
 
-// newBucket wires a bucket's queue, limiter and per-bucket instruments
+// newBucket wires a bucket's queue and per-bucket instruments
 // (serve.bucket.<network>.*).
 func newBucket(s *Server, plan *Plan) *bucket {
 	prefix := "serve.bucket." + plan.Name()
 	return &bucket{
 		srv:  s,
 		plan: plan,
-		// limiter <= QueueDepth bounds queue occupancy too, so the
+		// outstanding <= QueueDepth bounds queue occupancy too, so the
 		// admission send below can never block.
 		queue:     make(chan *request, s.cfg.QueueDepth),
-		limiter:   newShardedLimiter(s.cfg.QueueDepth, 0),
 		cols:      schedule.NewColumnBuffer(),
 		occupancy: s.met.Gauge(prefix + ".occupancy"),
 		latency:   s.met.Histogram(prefix+".latency_ns", obs.DurationBucketsNs),
@@ -64,30 +63,41 @@ func newBucket(s *Server, plan *Plan) *bucket {
 	}
 }
 
+// reserve claims one occupancy slot and reports whether it got one.
+// It adds first and undoes the add past QueueDepth: of racing callers
+// contending for the last slot, at most one lands at or under the
+// bound, so the bound is exact. A transient over-count can only shed a
+// request while a slot is free, never over-admit.
+func (b *bucket) reserve() bool {
+	if b.outstanding.Add(1) <= int64(b.srv.cfg.QueueDepth) {
+		return true
+	}
+	b.outstanding.Add(-1)
+	return false
+}
+
 // admit reserves one occupancy slot, then checks the closed flag, then
 // enqueues — in that order. The reservation-first protocol is what the
 // drain relies on: a submitter that saw closed=false holds a slot that
-// every post-Close limiter fold observes, so the drain sweep cannot
+// every post-Close occupancy read observes, so the drain sweep cannot
 // finish before this request's enqueue lands. Returns ErrQueueFull
 // when the bucket is at depth, ErrClosed after Close.
 func (b *bucket) admit(req *request) error {
-	sh := b.limiter.acquire()
-	if sh == nil {
+	if !b.reserve() {
 		b.shed.Inc()
 		return ErrQueueFull
 	}
 	if b.srv.closed.Load() {
-		b.limiter.release(sh)
+		b.outstanding.Add(-1)
 		return ErrClosed
 	}
-	req.lsh = sh
 	select {
 	case b.queue <- req:
 		return nil
 	default:
 		// Unreachable while the occupancy invariant holds; fail closed
 		// rather than block admission.
-		b.limiter.release(sh)
+		b.outstanding.Add(-1)
 		b.shed.Inc()
 		return ErrQueueFull
 	}
@@ -96,7 +106,7 @@ func (b *bucket) admit(req *request) error {
 // loop is the bucket's batching goroutine: accumulate until MaxBatch or
 // MaxLinger after the first pending request, then hand the batch to a
 // flush. On drain it sweeps the sealed queue and flushes the remainder,
-// repeating until the limiter folds to zero — no admitted request,
+// repeating until occupancy reads zero — no admitted request,
 // however racy its enqueue, is left behind — then exits.
 func (b *bucket) loop() {
 	defer b.srv.wg.Done()
@@ -152,10 +162,10 @@ func (b *bucket) loop() {
 					}
 				}
 				flush()
-				// fold()==0 means every admitted request has been
+				// Zero occupancy means every admitted request has been
 				// replied — none is latent between its reservation and
 				// its enqueue, none is queued, none is mid-flush.
-				if b.limiter.fold() == 0 && len(b.queue) == 0 {
+				if b.outstanding.Load() == 0 && len(b.queue) == 0 {
 					b.occupancy.Set(0)
 					return
 				}
@@ -180,8 +190,7 @@ func (b *bucket) startFlush(batch []*request) {
 // while the request was enqueued is honored here, before the sort; once
 // bound, a request rides the flush to completion — a mid-flush
 // cancellation neither aborts the sort nor poisons batchmates. The
-// compiled program is acquired from the plan store for just this
-// flush, under an epoch pin released before the replies go out.
+// compiled program is acquired from the plan store for each flush.
 func (b *bucket) runFlush(batch []*request) {
 	live := batch[:0]
 	for _, req := range batch {
@@ -197,7 +206,7 @@ func (b *bucket) runFlush(batch []*request) {
 	if gate := b.srv.flushGate; gate != nil {
 		<-gate
 	}
-	prog, pin, err := b.srv.store.Acquire(b.plan, b.srv.planner.Engine())
+	prog, _, err := b.srv.store.Acquire(b.plan, b.srv.planner.Engine())
 	if err != nil {
 		for _, req := range live {
 			b.reply(req, Reply{Err: err, Network: b.plan.Name(), Family: b.plan.Family, BatchSize: len(live)})
@@ -212,8 +221,6 @@ func (b *bucket) runFlush(batch []*request) {
 	// (width = live batch size) and walks the program once for the whole
 	// batch; pooled slabs keep the warm path allocation-free per item.
 	err = schedule.RunBatchColumnar(prog, items, 1, b.cols)
-	rounds := prog.Rounds()
-	pin.Release()
 	b.flushes.Inc()
 	b.familyC.Inc()
 	b.batchSize.Observe(int64(len(live)))
@@ -225,24 +232,22 @@ func (b *bucket) runFlush(batch []*request) {
 		}
 		b.reply(req, Reply{
 			Keys:      req.keys,
-			Rounds:    rounds,
+			Rounds:    prog.Rounds(),
 			Network:   b.plan.Name(),
 			Family:    b.plan.Family,
 			BatchSize: len(live),
 		})
 	}
-	// Folding once per flush (not per reply) keeps the reply path off
-	// shared lines; the drain loop writes the authoritative final zero.
-	b.occupancy.Set(b.limiter.fold())
-	b.srv.store.Reclaim()
+	// Sampling once per flush (not per reply) keeps the gauge write off
+	// the reply path; the drain loop writes the authoritative final zero.
+	b.occupancy.Set(b.outstanding.Load())
 }
 
-// reply releases the request's admission slot back to the shard it was
-// charged to, stamps the wait and delivers the single reply (never
-// blocking: out is buffered).
+// reply releases the request's admission slot, stamps the wait and
+// delivers the single reply (never blocking: out is buffered).
 func (b *bucket) reply(req *request, rep Reply) {
 	rep.Wait = time.Since(req.t0)
-	b.limiter.release(req.lsh)
+	b.outstanding.Add(-1)
 	b.latency.Observe(int64(rep.Wait))
 	req.out <- rep
 }

@@ -1,8 +1,8 @@
 // Package serve turns compiled networks into a request-driven sorting
 // service. A planner maps each requested key count to the cheapest
 // covering network (candidates ranked by Theorem 1's predicted round
-// count), a sharded lock-free plan store holds the compiled programs
-// (versioned reads, epoch-based reclamation of evictions), and
+// count), a plan store holds the compiled programs (an immutable
+// snapshot map read lock-free; the GC frees evicted programs), and
 // size-bucketed dynamic batching accumulates admitted requests per plan
 // until MaxBatch or MaxLinger, then flushes them through the columnar
 // batch replay (schedule.RunBatchColumnar: one program walk per flush,

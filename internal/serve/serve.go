@@ -3,19 +3,17 @@
 // The submit path is lock-free end to end: the planner lookup is a
 // binary search over immutable plans, the bucket table is a dense
 // immutable slice indexed by plan (buckets and their loops are built
-// eagerly at New), admission is a sharded per-CPU counter
-// (admission.go), and the compiled program is acquired per flush from
-// the versioned-read plan store (store.go). No Submit ever takes a
-// mutex the Server owns.
+// eagerly at New), admission is one atomic counter per bucket, and the
+// compiled program is acquired per flush from the snapshot plan store
+// (store.go). No Submit ever takes a mutex the Server owns.
 //
-// The drain handshake that used to lean on the server RWMutex is now
-// an ordering argument: Submit reserves its admission slot *before*
-// loading the closed flag, and each bucket's drain sweep exits only
-// once its limiter folds to zero. A submitter that observed
-// closed=false has its reservation visible to every later fold
-// (sequentially consistent atomics), so the sweep cannot conclude
-// while an admitted request has yet to enqueue — every admitted
-// request is drained, exactly as before.
+// The drain handshake is an ordering argument: Submit reserves its
+// admission slot *before* loading the closed flag, and each bucket's
+// drain sweep exits only once its occupancy reads zero. A submitter
+// that observed closed=false has its reservation visible to every
+// later read (sequentially consistent atomics), so the sweep cannot
+// conclude while an admitted request has yet to enqueue — every
+// admitted request is drained.
 
 package serve
 
@@ -93,8 +91,8 @@ type Config struct {
 	// (default GOMAXPROCS).
 	Workers int
 	// PlanCacheSize bounds resident compiled programs in the plan
-	// store; evicted programs are reclaimed through the epoch domain
-	// and recompiled on demand (default 16).
+	// store; an evicted program is recompiled on its next use
+	// (default 16).
 	PlanCacheSize int
 	// Metrics receives serve.* instruments; nil creates a private
 	// registry (reachable via Server.Metrics).
@@ -107,7 +105,6 @@ type request struct {
 	ctx  context.Context
 	out  chan Reply // buffered 1: the single reply send never blocks
 	t0   time.Time
-	lsh  *limiterShard // the admission shard charged; released on reply
 }
 
 // Server is the multi-tenant batching sort service. Safe for concurrent
@@ -189,7 +186,7 @@ func (s *Server) Metrics() *obs.Metrics { return s.met }
 func (s *Server) MaxKeys() int { return s.planner.MaxKeys() }
 
 // StoreStats snapshots the plan store's counters: lookup outcomes,
-// versioned-read retries, evictions and the epoch-reclamation ledger.
+// evictions and the resident count.
 func (s *Server) StoreStats() StoreStats { return s.store.Stats() }
 
 // Submit admits keys for sorting and returns the channel the single
@@ -222,9 +219,9 @@ func (s *Server) Submit(ctx context.Context, keys []Key) (<-chan Reply, error) {
 		t0:   time.Now(),
 	}
 	// Reservation before closed-check is the drain handshake: an
-	// admitted request's slot is visible to every limiter fold that
+	// admitted request's slot is visible to every occupancy read that
 	// runs after Close stores the flag, so the bucket's drain sweep
-	// (which exits only at fold zero) always outlasts the enqueue.
+	// (which exits only at zero occupancy) always outlasts the enqueue.
 	if err := b.admit(req); err != nil {
 		if errors.Is(err, ErrQueueFull) {
 			s.shed.Inc()
@@ -255,8 +252,7 @@ func (s *Server) SortKeys(ctx context.Context, keys []Key) ([]Key, error) {
 }
 
 // Close seals admission and drains gracefully: every admitted request
-// receives its reply, then all bucket loops and flushes exit and the
-// epoch domain reclaims every retired program. ctx (nil means
+// receives its reply, then all bucket loops and flushes exit. ctx (nil means
 // Background) bounds the wait; on expiry the drain continues in the
 // background and Close returns ctx.Err(). Close is idempotent and
 // safe to call concurrently.
@@ -270,9 +266,6 @@ func (s *Server) Close(ctx context.Context) error {
 	done := make(chan struct{})
 	go func() {
 		s.wg.Wait()
-		// Every reader pin is released once the loops and flushes are
-		// gone, so one reclaim empties the whole retirement list.
-		s.store.Reclaim()
 		close(done)
 	}()
 	select {

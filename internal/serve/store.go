@@ -1,360 +1,196 @@
-// PlanStore: the lock-free successor to PlanCache.
+// PlanStore: an immutable snapshot map behind one atomic pointer.
 //
-// PlanCache serialises every lookup — hit or miss — through one mutex;
-// at serving scale that lock is the ceiling, because the paper's
-// compile-once/replay-many split makes lookup, not compilation, the
-// hot operation. PlanStore removes the lock from the read path:
-//
-//   - Lookups are optimistic versioned reads. Each slot carries a
-//     seqlock-style version stamp (odd while a writer is mid-swap);
-//     a reader loads the version, loads the entry, and re-validates the
-//     version — retrying (with a Gosched backoff) on a torn read. The
-//     warm path touches one version word and one entry pointer; it
-//     takes no lock, writes no shared line, and allocates nothing.
-//   - Misses coalesce: concurrent misses on one signature fold into a
-//     single CompileUncached through a per-shard inflight table, as
-//     PlanCache's once-guarded slots did.
-//   - Eviction never frees. A displaced program is unlinked under the
-//     slot's seqlock, then retired into the store's epoch domain
-//     (epoch.go); it is freed only after a grace period proves every
-//     reader that could have seen it has released its Pin. No reader
-//     ever dereferences a freed schedule.Program.
-//
-// The table is sharded by signature hash so unrelated topologies take
-// independent writer locks; within a shard, slots approximate LRU with
-// a coarse-grained last-use stamp that is only rewritten when it has
-// aged past recencyGrain — keeping the hit path read-only on the
-// shared line in the steady state.
+// The paper's compile-once/replay-many split makes lookup, not
+// compilation, the hot operation, and serving needs nothing more than
+// a map from plan signature to compiled program. A hit is one atomic
+// pointer load and one map read: no lock, no allocation, no clock
+// read, and no write to a shared line beyond the hit counter and a
+// coarse recency stamp — the hit counter doubles as the recency clock.
+// A miss takes the one mutex: concurrent misses on a signature
+// coalesce into a single compile, and the result is published as a
+// copied map, evicting the least recently used entry at capacity.
+// Programs are immutable once compiled, so an evicted program stays
+// valid for any flush still replaying it and the GC frees it after the
+// last one lets go.
 
 package serve
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"productsort/internal/obs"
 	"productsort/internal/schedule"
 	"productsort/internal/sort2d"
 )
 
-// recencyGrain is how much a slot's last-use stamp must lag before a
-// hit rewrites it. Coarser = fewer shared-line writes on the hot path;
-// finer = closer-to-true LRU. 1ms keeps eviction ordering meaningful
-// at serving rates while making steady-state hits pure reads.
-const recencyGrain = int64(time.Millisecond)
+// recencyGrain is how many hits an entry's last-use stamp must lag
+// before a hit rewrites it. Coarser = fewer shared-line writes on the
+// hot path; finer = closer-to-true LRU. At 64 a hot entry rewrites its
+// stamp on at most one hit in 64.
+const recencyGrain = 64
 
-// storeSpinBudget is how many torn-version retries a reader burns
-// before yielding the processor — essential when reader and writer
-// share one P (GOMAXPROCS=1), where spinning would deadlock the writer
-// out of its own version-restore.
-const storeSpinBudget = 8
-
-// storeEntry is one resident program. Entries are immutable after
-// publication except lastUse; replacement swaps the whole entry.
+// storeEntry is one resident program. Entries are shared between
+// successive snapshots; only lastUse changes after publication.
 type storeEntry struct {
-	key     string
-	hash    uint64
 	prog    *schedule.Program
-	lastUse atomic.Int64 // coarse store-relative nanos, see recencyGrain
+	seq     int64        // publication order: the tie-break between equal stamps
+	lastUse atomic.Int64 // the store's hit count when last stamped
 }
 
-// storeSlot is one seqlock-guarded table cell. version is even when the
-// slot is stable and odd while a writer is swapping the entry; entry is
-// additionally an atomic pointer so racing loads are well-defined (the
-// version stamp makes the *pair* of loads consistent, the atomic makes
-// each load untorn).
-type storeSlot struct {
-	version atomic.Uint64
-	entry   atomic.Pointer[storeEntry]
-}
-
-// compileSlot coalesces concurrent misses on one signature.
-type compileSlot struct {
+// compileCall coalesces concurrent misses on one signature.
+type compileCall struct {
 	once sync.Once
 	prog *schedule.Program
 	err  error
 }
 
-// storeShard is one writer domain: a fixed slot array read lock-free
-// and written under mu, plus the shard's miss-coalescing table. Padded
-// so neighbouring shards' writer locks never share a cache line.
-type storeShard struct {
-	mu       sync.Mutex
-	slots    []storeSlot
-	inflight map[string]*compileSlot
-	_        [40]byte
-}
-
 // StoreStats is a point-in-time snapshot of a PlanStore's counters —
 // the serving surface mirrors it at the root API.
 type StoreStats struct {
-	// Hits and Misses count lookups by outcome; Retries counts torn
-	// versioned reads that re-ran validation.
-	Hits, Misses, Retries int64
-	// Evictions counts programs displaced from the table; Retired and
-	// Freed count epoch-list entry and exit, and Pending is the current
-	// reclamation backlog (Retired - Freed).
-	Evictions, Retired, Freed, Pending int64
+	// Hits and Misses count lookups by outcome.
+	Hits, Misses int64
+	// Evictions counts programs displaced from the store.
+	Evictions int64
 	// Resident is the current entry count.
 	Resident int
 }
 
-// PlanStore is a bounded, sharded, lock-free-read cache of compiled
-// phase programs keyed by schedule cache signature. See the file
+// PlanStore is a bounded cache of compiled phase programs keyed by
+// schedule cache signature, with a lock-free read path. See the file
 // comment for the protocol. The zero value is not usable; construct
 // with NewPlanStore.
 type PlanStore struct {
-	shards []storeShard
-	mask   uint64
-	domain *epochDomain
-	start  time.Time
+	snap     atomic.Pointer[map[string]*storeEntry] // immutable once published
+	capacity int
+
+	mu        sync.Mutex // serialises publication; guards inflight and published
+	inflight  map[string]*compileCall
+	published int64
 
 	// compile builds a program for a plan — a seam the deterministic
-	// tests replace; production uses schedule.CompileUncached.
+	// tests replace; production uses Plan.compileProgram.
 	compile func(*Plan, sort2d.Engine) (*schedule.Program, error)
 
-	hits, misses, evictions, retries *obs.Counter
+	hits, misses, evictions *obs.Counter
 }
 
 // NewPlanStore returns a store holding at most capacity programs
 // (minimum 1), reporting into m (a private registry when nil) under
-// serve.planstore.* and serve.epoch.*. Shard count follows GOMAXPROCS.
+// serve.planstore.*.
 func NewPlanStore(capacity int, m *obs.Metrics) *PlanStore {
-	return newPlanStore(capacity, 0, 0, m)
-}
-
-// newPlanStore is the fully parameterised constructor: shards and
-// stripes of 0 self-size to the scheduler; tests pin both to 1 for
-// determinism.
-func newPlanStore(capacity, shards, stripes int, m *obs.Metrics) *PlanStore {
-	if capacity < 1 {
-		capacity = 1
-	}
 	if m == nil {
 		m = obs.NewMetrics()
 	}
-	if shards < 1 {
-		shards = nextPow2(min(max(1, runtime.GOMAXPROCS(0)), capacity))
-	} else {
-		shards = nextPow2(shards)
-	}
-	per := (capacity + shards - 1) / shards
 	s := &PlanStore{
-		shards:    make([]storeShard, shards),
-		mask:      uint64(shards - 1),
-		domain:    newEpochDomain(stripes, m),
-		start:     time.Now(),
+		capacity:  max(capacity, 1),
+		inflight:  make(map[string]*compileCall),
+		compile:   (*Plan).compileProgram,
 		hits:      m.Counter("serve.planstore.hits"),
 		misses:    m.Counter("serve.planstore.misses"),
 		evictions: m.Counter("serve.planstore.evictions"),
-		retries:   m.Counter("serve.planstore.retries"),
 	}
-	s.compile = func(p *Plan, e sort2d.Engine) (*schedule.Program, error) {
-		return p.compileProgram(e)
-	}
-	for i := range s.shards {
-		s.shards[i].slots = make([]storeSlot, per)
-		s.shards[i].inflight = make(map[string]*compileSlot)
-	}
+	empty := map[string]*storeEntry{}
+	s.snap.Store(&empty)
 	return s
 }
 
-// Pin is a held read-side reference: while any Pin taken before a
-// program's eviction remains unreleased, that program will not be
-// freed. The zero value is inert. Release is cheap (one atomic add)
-// and must be called exactly once per successful Acquire, after the
-// caller's last use of the program.
-type Pin struct {
-	pin epochPin
-}
+// Pin is what Acquire hands back alongside the program. It holds
+// nothing — the GC keeps an evicted program alive while any caller
+// still references it. It exists for perfbench, the repository's
+// benchmark, which calls Acquire and then Pin.Release. Release does
+// nothing.
+type Pin struct{}
 
-// Release ends the grace-period protection. Safe on the zero value.
-func (p Pin) Release() { p.pin.release() }
+// Release does nothing; see Pin.
+func (Pin) Release() {}
 
-// fnv1a hashes a signature string (FNV-1a 64, allocation-free).
-func fnv1a(s string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
-}
-
-// Acquire returns the compiled program for plan plus the Pin that
-// keeps it alive, compiling with engine on a miss. The hit path is
-// lock-free and allocation-free; the caller must Release the Pin after
-// its last use of the program.
+// Acquire returns the compiled program for plan, compiling with
+// engine on a miss. The hit path is lock-free and allocation-free.
 func (s *PlanStore) Acquire(plan *Plan, engine sort2d.Engine) (*schedule.Program, Pin, error) {
-	h := fnv1a(plan.sig)
-	sh := &s.shards[h&s.mask]
-	for {
-		// The pin must be live before the first table load: eviction
-		// retires strictly after unlinking, so any program a pinned
-		// reader can still find was retired — if at all — after this
-		// enter, and the grace period covers it.
-		pin := s.domain.enter()
-		if prog := s.lookup(sh, plan.sig, h); prog != nil {
-			s.hits.Inc()
-			return prog, Pin{pin: pin}, nil
+	if e := (*s.snap.Load())[plan.sig]; e != nil {
+		s.hits.Inc()
+		// Refresh recency only when the stamp has aged past the grain,
+		// so steady-state hits rarely write the entry's line.
+		if now := s.hits.Value(); now-e.lastUse.Load() > recencyGrain {
+			e.lastUse.Store(now)
 		}
-		s.misses.Inc()
-		prog, err := s.compileCoalesced(sh, plan, engine, h)
-		if err != nil {
-			pin.release()
-			return nil, Pin{}, err
-		}
-		// A coalesced waiter can receive a program that was inserted,
-		// evicted and retired before this goroutine's pin existed — the
-		// one interleaving the grace period cannot cover. Detect it and
-		// go around; the next lap misses and compiles fresh.
-		if prog.Retired() {
-			pin.release()
-			continue
-		}
-		return prog, Pin{pin: pin}, nil
+		return e.prog, Pin{}, nil
 	}
-}
-
-// lookup scans the shard's slots for key with seqlock validation.
-// Returns nil on miss. Caller holds an epoch pin.
-func (s *PlanStore) lookup(sh *storeShard, key string, h uint64) *schedule.Program {
-	now := int64(time.Since(s.start))
-	for i := range sh.slots {
-		sl := &sh.slots[i]
-		for spins := 0; ; spins++ {
-			v1 := sl.version.Load()
-			if v1&1 != 0 {
-				// Writer mid-swap: torn read, retry.
-				s.retries.Inc()
-				if spins >= storeSpinBudget {
-					runtime.Gosched()
-				}
-				continue
-			}
-			e := sl.entry.Load()
-			if sl.version.Load() != v1 {
-				// Entry swapped under us between the two version loads.
-				s.retries.Inc()
-				if spins >= storeSpinBudget {
-					runtime.Gosched()
-				}
-				continue
-			}
-			if e == nil || e.hash != h || e.key != key {
-				break // consistent miss on this slot; next slot
-			}
-			// Hit. Refresh recency only when the stamp has aged past
-			// the grain, so steady-state hits never write shared lines.
-			if now-e.lastUse.Load() > recencyGrain {
-				e.lastUse.Store(now)
-			}
-			return e.prog
-		}
-	}
-	return nil
+	s.misses.Inc()
+	prog, err := s.compileCoalesced(plan, engine)
+	return prog, Pin{}, err
 }
 
 // compileCoalesced folds concurrent misses on one signature into a
-// single compile, inserting the result into the table on success.
-func (s *PlanStore) compileCoalesced(sh *storeShard, plan *Plan, engine sort2d.Engine, h uint64) (*schedule.Program, error) {
-	sh.mu.Lock()
-	cs, ok := sh.inflight[plan.sig]
+// single compile and publishes the result on success. A failed compile
+// is not cached: the next miss compiles again.
+func (s *PlanStore) compileCoalesced(plan *Plan, engine sort2d.Engine) (*schedule.Program, error) {
+	s.mu.Lock()
+	// A racing miss may have published since this caller's lookup.
+	if e := (*s.snap.Load())[plan.sig]; e != nil {
+		s.mu.Unlock()
+		return e.prog, nil
+	}
+	c, ok := s.inflight[plan.sig]
 	if !ok {
-		cs = &compileSlot{}
-		sh.inflight[plan.sig] = cs
+		c = &compileCall{}
+		s.inflight[plan.sig] = c
 	}
-	sh.mu.Unlock()
-	cs.once.Do(func() {
-		cs.prog, cs.err = s.compile(plan, engine)
-		sh.mu.Lock()
-		if cs.err == nil {
-			s.insertLocked(sh, plan.sig, h, cs.prog)
+	s.mu.Unlock()
+	c.once.Do(func() {
+		c.prog, c.err = s.compile(plan, engine)
+		s.mu.Lock()
+		if c.err == nil {
+			s.publishLocked(plan.sig, c.prog)
 		}
-		delete(sh.inflight, plan.sig)
-		sh.mu.Unlock()
+		delete(s.inflight, plan.sig)
+		s.mu.Unlock()
 	})
-	return cs.prog, cs.err
+	return c.prog, c.err
 }
 
-// insertLocked publishes prog under key, evicting if the shard is
-// full. Victim preference: a slot already holding key (racing inserts
-// of one signature keep one copy), then an empty slot, then the least
-// recently used. The displaced program is retired, never freed here.
-// Caller holds sh.mu.
-func (s *PlanStore) insertLocked(sh *storeShard, key string, h uint64, prog *schedule.Program) {
-	victim := -1
-	for i := range sh.slots {
-		if e := sh.slots[i].entry.Load(); e != nil && e.hash == h && e.key == key {
-			victim = i
-			break
-		}
-	}
-	if victim == -1 {
-		for i := range sh.slots {
-			if sh.slots[i].entry.Load() == nil {
-				victim = i
-				break
-			}
-		}
-	}
-	if victim == -1 {
+// publishLocked stores a copy of the current map with key added,
+// dropping the least recently used entry (the earliest published among
+// equal stamps) when the store is at capacity. key is never already
+// resident: only the compile that owns its in-flight slot publishes
+// it. Caller holds mu.
+func (s *PlanStore) publishLocked(key string, prog *schedule.Program) {
+	old := *s.snap.Load()
+	victim := ""
+	if len(old) >= s.capacity {
+		var v *storeEntry
 		var oldest int64
-		for i := range sh.slots {
-			lu := sh.slots[i].entry.Load().lastUse.Load()
-			if victim == -1 || lu < oldest {
-				victim, oldest = i, lu
+		for k, e := range old {
+			lu := e.lastUse.Load()
+			if v == nil || lu < oldest || (lu == oldest && e.seq < v.seq) {
+				victim, v, oldest = k, e, lu
 			}
 		}
-	}
-	ne := &storeEntry{key: key, hash: h, prog: prog}
-	ne.lastUse.Store(int64(time.Since(s.start)))
-	sl := &sh.slots[victim]
-	sl.version.Add(1) // odd: readers back off
-	old := sl.entry.Swap(ne)
-	sl.version.Add(1) // even: slot stable again
-	if old != nil {
 		s.evictions.Inc()
-		// Unlinked above; retire after unlink is the protocol's fence.
-		s.domain.retire(old.prog)
 	}
+	next := make(map[string]*storeEntry, len(old)+1)
+	for k, e := range old {
+		if k != victim {
+			next[k] = e
+		}
+	}
+	s.published++
+	e := &storeEntry{prog: prog, seq: s.published}
+	e.lastUse.Store(s.hits.Value())
+	next[key] = e
+	s.snap.Store(&next)
 }
-
-// Reclaim frees every retired program whose grace period has elapsed
-// and returns how many were freed. The server calls it after flushes
-// and during drain; tests call it directly.
-func (s *PlanStore) Reclaim() int { return s.domain.reclaim() }
 
 // Len reports the resident entry count.
-func (s *PlanStore) Len() int {
-	n := 0
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		for j := range sh.slots {
-			if sh.slots[j].entry.Load() != nil {
-				n++
-			}
-		}
-		sh.mu.Unlock()
-	}
-	return n
-}
+func (s *PlanStore) Len() int { return len(*s.snap.Load()) }
 
 // Stats snapshots the store's counters.
 func (s *PlanStore) Stats() StoreStats {
-	retired := s.domain.retiredC.Value()
-	freed := s.domain.freedC.Value()
 	return StoreStats{
 		Hits:      s.hits.Value(),
 		Misses:    s.misses.Value(),
-		Retries:   s.retries.Value(),
 		Evictions: s.evictions.Value(),
-		Retired:   retired,
-		Freed:     freed,
-		Pending:   retired - freed,
 		Resident:  s.Len(),
 	}
 }

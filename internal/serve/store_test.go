@@ -2,26 +2,35 @@ package serve
 
 import (
 	"errors"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"productsort/internal/obs"
+	"productsort/internal/graph"
+	"productsort/internal/product"
 	"productsort/internal/schedule"
 	"productsort/internal/sort2d"
 )
 
-// testStore builds a deterministic store: capacity slots in ONE shard
-// with ONE epoch stripe, so eviction order and grace periods are exact.
-func testStore(t *testing.T, capacity int) (*PlanStore, *obs.Metrics) {
+// testPlans builds a planner over three distinct small topologies and
+// returns its plans ascending by size.
+func testPlans(t *testing.T) (*Planner, []*Plan) {
 	t.Helper()
-	m := obs.NewMetrics()
-	return newPlanStore(capacity, 1, 1, m), m
+	pl, err := NewPlanner([]*product.Network{
+		product.MustNew(graph.K2(), 2),    // 4 nodes
+		product.MustNew(graph.Path(3), 2), // 9 nodes
+		product.MustNew(graph.K2(), 4),    // 16 nodes
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pl, pl.Plans()
 }
 
 // acquire is a must-succeed Acquire.
-func acquire(t *testing.T, s *PlanStore, p *Plan, e sort2d.Engine) (*schedule.Program, Pin) {
+func acquire(t *testing.T, s *PlanStore, p *Plan, e sort2d.Engine) *schedule.Program {
 	t.Helper()
 	prog, pin, err := s.Acquire(p, e)
 	if err != nil {
@@ -30,187 +39,87 @@ func acquire(t *testing.T, s *PlanStore, p *Plan, e sort2d.Engine) (*schedule.Pr
 	if prog == nil {
 		t.Fatal("Acquire returned nil program")
 	}
-	return prog, pin
+	pin.Release()
+	return prog
 }
 
 // TestPlanStoreHitMissEvict: basic residency semantics — repeat
 // lookups hit, capacity evicts, counters and Len stay exact.
 func TestPlanStoreHitMissEvict(t *testing.T) {
 	pl, plans := testPlans(t)
-	s, _ := testStore(t, 2)
+	s := NewPlanStore(2, nil)
 
-	progA, pinA := acquire(t, s, plans[0], pl.Engine()) // miss
-	pinA.Release()
-	progA2, pinA2 := acquire(t, s, plans[0], pl.Engine()) // hit
-	pinA2.Release()
+	progA := acquire(t, s, plans[0], pl.Engine())  // miss
+	progA2 := acquire(t, s, plans[0], pl.Engine()) // hit
 	if progA != progA2 {
 		t.Fatal("hit returned a different program than the miss compiled")
 	}
-	_, pinB := acquire(t, s, plans[1], pl.Engine()) // miss
-	pinB.Release()
-	_, pinC := acquire(t, s, plans[2], pl.Engine()) // miss; evicts one
-	pinC.Release()
+	acquire(t, s, plans[1], pl.Engine()) // miss
+	acquire(t, s, plans[2], pl.Engine()) // miss; evicts one
 
 	st := s.Stats()
-	if st.Hits != 1 || st.Misses != 3 || st.Evictions != 1 || st.Retired != 1 {
-		t.Fatalf("stats = %+v, want 1 hit / 3 misses / 1 eviction / 1 retired", st)
+	if st.Hits != 1 || st.Misses != 3 || st.Evictions != 1 || st.Resident != 2 {
+		t.Fatalf("stats = %+v, want 1 hit / 3 misses / 1 eviction / 2 resident", st)
 	}
 	if got := s.Len(); got != 2 {
 		t.Fatalf("Len = %d, want 2", got)
 	}
-	// All pins released: one reclaim frees the whole retirement list.
-	if freed := s.Reclaim(); freed != 1 {
-		t.Fatalf("Reclaim freed %d, want 1", freed)
-	}
-	if st := s.Stats(); st.Freed != 1 || st.Pending != 0 {
-		t.Fatalf("post-reclaim stats = %+v, want Freed=1 Pending=0", st)
-	}
 }
 
-// TestPlanStoreLRUVictim: with the recency grain elapsed between
-// touches, the least recently used entry is the one displaced.
+// TestPlanStoreLRUVictim: once hits have aged the stamps past the
+// grain, the least recently used entry is the one displaced; among
+// entries no hit has restamped, the earliest published goes first.
 func TestPlanStoreLRUVictim(t *testing.T) {
 	pl, plans := testPlans(t)
-	s, _ := testStore(t, 2)
+	s := NewPlanStore(2, nil)
 
-	progA, pinA := acquire(t, s, plans[0], pl.Engine())
-	pinA.Release()
-	_, pinB := acquire(t, s, plans[1], pl.Engine())
-	pinB.Release()
-	// Age both stamps past the grain, then touch A so B is the victim.
-	time.Sleep(2 * time.Millisecond)
-	_, pinA2 := acquire(t, s, plans[0], pl.Engine())
-	pinA2.Release()
-	_, pinC := acquire(t, s, plans[2], pl.Engine()) // evicts B
-	pinC.Release()
+	progA := acquire(t, s, plans[0], pl.Engine())
+	acquire(t, s, plans[1], pl.Engine())
+	// Touch A until its stamp moves past B's, so B is the victim.
+	for i := 0; i <= recencyGrain; i++ {
+		acquire(t, s, plans[0], pl.Engine())
+	}
+	acquire(t, s, plans[2], pl.Engine()) // evicts B
 
-	progA3, pinA3 := acquire(t, s, plans[0], pl.Engine()) // still resident
-	pinA3.Release()
-	if progA3 != progA {
+	if progA3 := acquire(t, s, plans[0], pl.Engine()); progA3 != progA {
 		t.Fatal("recently used entry was evicted")
 	}
 	if st := s.Stats(); st.Misses != 3 {
 		t.Fatalf("misses = %d, want 3 (B evicted, A retained)", st.Misses)
 	}
-}
-
-// TestPlanStoreTornVersionRetry: a reader that finds a slot's version
-// odd (writer mid-swap) retries rather than returning a torn entry,
-// and completes once the writer restores the version.
-func TestPlanStoreTornVersionRetry(t *testing.T) {
-	pl, plans := testPlans(t)
-	s, _ := testStore(t, 2)
-	_, pin := acquire(t, s, plans[0], pl.Engine())
-	pin.Release()
-
-	sl := &s.shards[0].slots[0]
-	if sl.entry.Load() == nil {
-		t.Fatal("expected slot 0 resident in the single-shard store")
-	}
-	sl.version.Add(1) // simulate a writer parked mid-swap: version odd
-
-	got := make(chan *schedule.Program, 1)
-	go func() {
-		prog, p, err := s.Acquire(plans[0], pl.Engine())
-		if err != nil {
-			got <- nil
-			return
-		}
-		p.Release()
-		got <- prog
-	}()
-	select {
-	case <-got:
-		t.Fatal("reader returned while the slot version was torn")
-	case <-time.After(20 * time.Millisecond):
-	}
-	before := s.Stats().Retries
-	if before == 0 {
-		t.Fatal("spinning reader recorded no retries")
-	}
-	sl.version.Add(1) // writer completes: version even again
-	select {
-	case prog := <-got:
-		if prog == nil {
-			t.Fatal("reader errored after version restore")
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("reader did not complete after version restore")
+	// Neither A nor C has been restamped since C's publication, so the
+	// earlier published, A, goes when B comes back.
+	acquire(t, s, plans[1], pl.Engine())
+	acquire(t, s, plans[2], pl.Engine())
+	if st := s.Stats(); st.Misses != 4 {
+		t.Fatalf("misses = %d, want 4 (B recompiled, C retained)", st.Misses)
 	}
 }
 
-// TestPlanStoreReaderNeverSeesRetired: an entry evicted while a reader
-// holds a pin is retired but not freed until the pin is released; new
-// readers of the same key never receive the retired program.
+// TestPlanStoreReaderNeverSeesRetired: a program evicted while a
+// reader still holds it stays whole and keeps sorting, and a new
+// reader of the same key gets a freshly compiled program, never the
+// evicted one.
 func TestPlanStoreReaderNeverSeesRetired(t *testing.T) {
 	pl, plans := testPlans(t)
-	s, _ := testStore(t, 1) // capacity 1: every new key evicts
+	s := NewPlanStore(1, nil) // capacity 1: every new key evicts
 
-	progA, pinA := acquire(t, s, plans[0], pl.Engine())
-	// Evict A while pinA is live.
-	_, pinB := acquire(t, s, plans[1], pl.Engine())
-	pinB.Release()
+	progA := acquire(t, s, plans[0], pl.Engine())
+	acquire(t, s, plans[1], pl.Engine()) // evicts A while it is held
 
-	if !progA.Retired() {
-		t.Fatal("evicted program not retired")
-	}
-	if progA.Freed() {
-		t.Fatal("evicted program freed while a pre-eviction pin is held")
-	}
-	if freed := s.Reclaim(); freed != 0 {
-		t.Fatalf("Reclaim freed %d under a live pin, want 0", freed)
-	}
-	// A new reader of A's key must get a fresh program, never the
-	// retired one.
-	progA2, pinA2 := acquire(t, s, plans[0], pl.Engine())
+	progA2 := acquire(t, s, plans[0], pl.Engine())
 	if progA2 == progA {
-		t.Fatal("reader observed the retired program")
+		t.Fatal("reader observed the evicted program")
 	}
-	if progA2.Retired() {
-		t.Fatal("freshly acquired program is retired")
+	keys := []Key{3, 1, 2}
+	if err := schedule.RunBatchColumnar(progA, [][]Key{keys}, 1, nil); err != nil {
+		t.Fatalf("replay of a held, evicted program: %v", err)
 	}
-
-	// Releasing the pre-eviction pin opens the grace period; reclaim
-	// now frees A (and only A — B was evicted by A2's insert and is
-	// still protected by nothing... it has no pin, so both may free).
-	pinA.Release()
-	pinA2.Release()
-	if s.Reclaim() == 0 {
-		t.Fatal("Reclaim freed nothing after all pins released")
+	if !slices.IsSorted(keys) {
+		t.Fatalf("evicted program left %v unsorted", keys)
 	}
-	if !progA.Freed() {
-		t.Fatal("retired program still not freed after grace period")
-	}
-}
-
-// TestPlanStoreFreeExactlyOnce: eviction frees a program exactly once,
-// pinned by a free-hook counter across repeated reclaims.
-func TestPlanStoreFreeExactlyOnce(t *testing.T) {
-	pl, plans := testPlans(t)
-	s, _ := testStore(t, 1)
-	var frees atomic.Int64
-	inner := s.compile
-	s.compile = func(p *Plan, e sort2d.Engine) (*schedule.Program, error) {
-		prog, err := inner(p, e)
-		if prog != nil {
-			prog.SetFreeHook(func() { frees.Add(1) })
-		}
-		return prog, err
-	}
-
-	_, pinA := acquire(t, s, plans[0], pl.Engine())
-	pinA.Release()
-	_, pinB := acquire(t, s, plans[1], pl.Engine()) // evicts A
-	pinB.Release()
-
-	for i := 0; i < 3; i++ {
-		s.Reclaim()
-	}
-	if got := frees.Load(); got != 1 {
-		t.Fatalf("free hook ran %d times, want exactly 1", got)
-	}
-	if st := s.Stats(); st.Freed != 1 {
-		t.Fatalf("Freed = %d, want 1", st.Freed)
+	if st := s.Stats(); st.Evictions != 2 || st.Resident != 1 {
+		t.Fatalf("stats = %+v, want 2 evictions / 1 resident", st)
 	}
 }
 
@@ -218,7 +127,7 @@ func TestPlanStoreFreeExactlyOnce(t *testing.T) {
 // fold into a single compile.
 func TestPlanStoreCoalescesCompiles(t *testing.T) {
 	pl, plans := testPlans(t)
-	s, _ := testStore(t, 2)
+	s := NewPlanStore(2, nil)
 	var compiles atomic.Int64
 	inner := s.compile
 	s.compile = func(p *Plan, e sort2d.Engine) (*schedule.Program, error) {
@@ -261,9 +170,8 @@ func TestPlanStoreWarmAcquireZeroAllocs(t *testing.T) {
 		t.Skip("allocation accounting differs under -race")
 	}
 	pl, plans := testPlans(t)
-	s, _ := testStore(t, 2)
-	_, pin := acquire(t, s, plans[0], pl.Engine())
-	pin.Release()
+	s := NewPlanStore(2, nil)
+	acquire(t, s, plans[0], pl.Engine())
 
 	allocs := testing.AllocsPerRun(200, func() {
 		prog, pin, err := s.Acquire(plans[0], pl.Engine())
@@ -281,7 +189,7 @@ func TestPlanStoreWarmAcquireZeroAllocs(t *testing.T) {
 // residue — the next Acquire retries the compile.
 func TestPlanStoreCompileErrorNotCached(t *testing.T) {
 	pl, plans := testPlans(t)
-	s, _ := testStore(t, 2)
+	s := NewPlanStore(2, nil)
 	inner := s.compile
 	fail := true
 	var mu sync.Mutex
@@ -295,14 +203,13 @@ func TestPlanStoreCompileErrorNotCached(t *testing.T) {
 		}
 		return inner(p, e)
 	}
-	if _, _, err := s.Acquire(plans[0], pl.Engine()); err != errTestCompile {
+	if _, _, err := s.Acquire(plans[0], pl.Engine()); !errors.Is(err, errTestCompile) {
 		t.Fatalf("first acquire error = %v, want errTestCompile", err)
 	}
 	if s.Len() != 0 {
 		t.Fatal("failed compile left a resident entry")
 	}
-	_, pin := acquire(t, s, plans[0], pl.Engine())
-	pin.Release()
+	acquire(t, s, plans[0], pl.Engine())
 }
 
 var errTestCompile = errors.New("test: compile failed")

@@ -20,9 +20,10 @@
 //
 // For request-driven workloads, NewServer wraps the same compiled
 // programs in a batching sort service whose submit path is lock-free
-// end to end — plans resolve through an epoch-managed versioned-read
-// store and admission through sharded per-CPU counters (see server.go
-// and Server.StoreStats for the observability surface).
+// end to end — plans resolve through an immutable snapshot map behind
+// one atomic pointer and admission through one atomic counter per size
+// bucket (see server.go and Server.StoreStats for the observability
+// surface).
 package productsort
 
 import (

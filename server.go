@@ -7,9 +7,10 @@
 // bounded (overload sheds with ErrQueueFull), per-request contexts are
 // honored until a request is bound into a flush, and Close drains
 // gracefully. The submit path is lock-free: plans resolve through an
-// epoch-managed versioned-read store and admission through sharded
-// per-CPU counters. See internal/serve for the machinery, DESIGN.md
-// S27 for the serving architecture and S30 for the lock-free store.
+// immutable snapshot map behind one atomic pointer and admission
+// through one atomic counter per size bucket. See internal/serve for
+// the machinery, DESIGN.md S27 for the serving architecture and S30
+// for the plan store.
 
 package productsort
 
@@ -27,8 +28,8 @@ import (
 type SortedReply = serve.Reply
 
 // ServerStoreStats is a point-in-time snapshot of the server's plan
-// store: lookup outcomes (Hits/Misses), versioned-read Retries,
-// Evictions, and the epoch-reclamation ledger (Retired/Freed/Pending).
+// store: lookup outcomes (Hits/Misses), Evictions and the Resident
+// entry count.
 type ServerStoreStats = serve.StoreStats
 
 // Typed serving errors; branch with errors.Is.
@@ -79,9 +80,8 @@ type ServerConfig struct {
 	// GOMAXPROCS).
 	Workers int
 	// PlanCacheSize bounds resident compiled programs in the plan
-	// store; least recently served networks are evicted (reclaimed
-	// safely through epoch grace periods) and recompiled on demand
-	// (default 16).
+	// store; least recently served networks are evicted and
+	// recompiled on demand (default 16).
 	PlanCacheSize int
 	// Metrics receives the serve.* instruments; nil creates a private
 	// registry, reachable via Server.Metrics.
@@ -216,12 +216,10 @@ func (s *Server) SortKeys(ctx context.Context, keys []Key) ([]Key, error) {
 func (s *Server) Close(ctx context.Context) error { return s.s.Close(ctx) }
 
 // Metrics returns the registry the server reports into: admission and
-// shed counters, plan-store hit/miss/retry/eviction counts, epoch
-// retirement/reclamation counts, and per-bucket occupancy gauges plus
-// latency and batch-size histograms.
+// shed counters, plan-store hit/miss/eviction counts, and per-bucket
+// occupancy gauges plus latency and batch-size histograms.
 func (s *Server) Metrics() *Metrics { return s.s.Metrics() }
 
 // StoreStats snapshots the plan store's counters — the lock-free read
-// path's health surface: hit/miss ratio, torn-read retries, evictions
-// and the epoch ledger proving reclamation keeps pace.
+// path's health surface: hit/miss ratio, evictions and residency.
 func (s *Server) StoreStats() ServerStoreStats { return s.s.StoreStats() }
