@@ -189,7 +189,8 @@ extsort-battery:
 		-run 'TestSortStream|TestServerSubmitStreamRoot' .
 
 # Bounded streaming-sort fuzz: SortStream vs sort.Slice over
-# fuzz-chosen lengths, run sizes, fan-ins and spill budgets. The pinned
+# fuzz-chosen lengths, run sizes and memory budgets (the budget sets
+# both the spill point and the derived merge fan-in). The pinned
 # short budget keeps it a smoke pass in CI; crank -fuzztime locally for
 # a real hunt.
 EXTSORT_FUZZTIME ?= 20s
@@ -197,7 +198,8 @@ extsort-fuzz:
 	$(GO) test ./internal/extsort/ -run=^$$ \
 		-fuzz=FuzzSortStreamEquivalence -fuzztime=$(EXTSORT_FUZZTIME)
 
-# Streaming tier vs sort.Slice: throughput over the size sweep plus the
-# merge fan-in sweep; writes BENCH_extsort.json.
+# Streaming tier vs slices.Sort and sort.Slice: throughput over the size
+# sweep; fails if a size takes more than 2 merge passes; writes
+# BENCH_extsort.json.
 bench-extsort:
 	$(GO) run ./cmd/bench -extsort

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -12,49 +13,55 @@ import (
 	"productsort"
 )
 
-// extsortEntry is one (input size, fan-in) cell: the streaming tier's
-// wall clock and throughput next to a sort.Slice baseline over the
+// maxMergePasses is the derived fan-in's contract: at the default
+// memory budget no sweep size needs a third merge pass.
+const maxMergePasses = 2
+
+// extsortEntry is one input-size cell: the streaming tier's wall clock
+// and throughput next to slices.Sort and sort.Slice baselines over the
 // same keys.
 type extsortEntry struct {
-	Keys    int `json:"keys"`
-	FanIn   int `json:"fanIn"`
-	RunSize int `json:"runSize"`
-	// Runs, MergePasses and SpilledBytes come from the tier's own
-	// accounting (extsort.Stats).
+	Keys int `json:"keys"`
+	// FanIn is the widest merge the tier ran; it and RunSize, Runs,
+	// MergePasses and SpilledBytes come from extsort.Stats.
+	FanIn        int   `json:"fanIn"`
+	RunSize      int   `json:"runSize"`
 	Runs         int64 `json:"runs"`
 	MergePasses  int   `json:"mergePasses"`
 	SpilledBytes int64 `json:"spilledBytes"`
-	// StreamNs is SortStream end to end; BaselineNs is sort.Slice on a
-	// copy of the same input.
-	StreamNs   int64 `json:"streamNs"`
-	BaselineNs int64 `json:"baselineNs"`
-	// StreamKeysPerSec and BaselineKeysPerSec are the derived
-	// throughputs; Ratio is baseline/stream (>1 means sort.Slice wins).
-	StreamKeysPerSec   float64 `json:"streamKeysPerSec"`
-	BaselineKeysPerSec float64 `json:"baselineKeysPerSec"`
-	Ratio              float64 `json:"ratio"`
+	// StreamNs is SortStream end to end; SlicesSortNs is slices.Sort
+	// and BaselineNs sort.Slice, each on its own copy of the input.
+	StreamNs     int64 `json:"streamNs"`
+	SlicesSortNs int64 `json:"slicesSortNs"`
+	BaselineNs   int64 `json:"baselineNs"`
+	// The derived throughputs. SlicesSortRatio and Ratio are the
+	// stream's throughput over slices.Sort's and sort.Slice's (>1
+	// means the stream wins).
+	StreamKeysPerSec     float64 `json:"streamKeysPerSec"`
+	SlicesSortKeysPerSec float64 `json:"slicesSortKeysPerSec"`
+	BaselineKeysPerSec   float64 `json:"baselineKeysPerSec"`
+	SlicesSortRatio      float64 `json:"slicesSortRatio"`
+	Ratio                float64 `json:"ratio"`
 }
 
 // extsortReport is the BENCH_extsort.json document: a size sweep at
-// the default fan-in followed by a fan-in sweep at a fixed size.
+// the default StreamConfig.
 type extsortReport struct {
 	Generated string         `json:"generated"`
+	Host      benchHost      `json:"host"`
 	Network   string         `json:"network"`
 	Nodes     int            `json:"nodes"`
 	SizeSweep []extsortEntry `json:"sizeSweep"`
-	FanSweep  []extsortEntry `json:"fanSweep"`
 }
 
 // runExtsortBench measures the streaming external sort tier (certified
-// run formation + loser-tree merge) against sort.Slice and writes the
-// report to path. Every streamed output is verified sorted with the
-// right key count before its numbers are recorded.
-func runExtsortBench(path, sizesCSV, faninsCSV string, seed int64) error {
+// run formation + loser-tree merge) against slices.Sort and sort.Slice
+// and writes the report to path. Every streamed output is verified
+// sorted with the right key count before its numbers are recorded, and
+// the run fails, after writing the report, if any cell took more than
+// maxMergePasses merge passes.
+func runExtsortBench(path, sizesCSV string, seed int64) error {
 	sizes, err := parseInts("extsortsizes", sizesCSV)
-	if err != nil {
-		return err
-	}
-	fanins, err := parseInts("fanins", faninsCSV)
 	if err != nil {
 		return err
 	}
@@ -68,77 +75,82 @@ func runExtsortBench(path, sizesCSV, faninsCSV string, seed int64) error {
 	}
 	rep := extsortReport{
 		Generated: time.Now().UTC().Format(time.RFC3339),
+		Host:      hostInfo(),
 		Network:   nw.Name(),
 		Nodes:     nw.Nodes(),
 	}
 	fmt.Printf("extsort bench: %s (%d nodes)\n", rep.Network, rep.Nodes)
 
+	var over []int
 	for _, n := range sizes {
-		e, err := extsortCell(c, n, 0, seed)
+		e, err := extsortCell(c, n, seed)
 		if err != nil {
 			return err
 		}
 		rep.SizeSweep = append(rep.SizeSweep, e)
-		fmt.Printf("  size %9d: stream %8.0f keys/s, sort.Slice %8.0f keys/s (x%.2f), %d runs, %d merge passes\n",
-			n, e.StreamKeysPerSec, e.BaselineKeysPerSec, e.Ratio, e.Runs, e.MergePasses)
-	}
-	// The fan-in sweep holds the input fixed at the second-largest size
-	// (the largest is the slowest cell; the sweep multiplies it).
-	fanN := sizes[0]
-	if len(sizes) > 1 {
-		fanN = sizes[len(sizes)-2]
-	}
-	for _, k := range fanins {
-		e, err := extsortCell(c, fanN, k, seed)
-		if err != nil {
-			return err
+		fmt.Printf("  size %9d: stream %8.0f keys/s, slices.Sort %8.0f keys/s (x%.2f), sort.Slice %8.0f keys/s (x%.2f), %d runs, fan-in %d, %d merge passes\n",
+			n, e.StreamKeysPerSec, e.SlicesSortKeysPerSec, e.SlicesSortRatio, e.BaselineKeysPerSec, e.Ratio, e.Runs, e.FanIn, e.MergePasses)
+		if e.MergePasses > maxMergePasses {
+			over = append(over, n)
 		}
-		rep.FanSweep = append(rep.FanSweep, e)
-		fmt.Printf("  fan-in %4d (n=%d): stream %8.0f keys/s, %d merge passes\n",
-			k, fanN, e.StreamKeysPerSec, e.MergePasses)
 	}
-	return writeJSONArtifact(path, &rep)
+	if err := writeJSONArtifact(path, &rep); err != nil {
+		return err
+	}
+	if len(over) > 0 {
+		return fmt.Errorf("extsort bench: sizes %v took more than %d merge passes", over, maxMergePasses)
+	}
+	return nil
 }
 
 // extsortCell runs one measurement: n keys through SortStream with the
-// given fan-in (0 = tier default), then sort.Slice over a copy.
-func extsortCell(c *productsort.CompiledNetwork, n, fanIn int, seed int64) (extsortEntry, error) {
+// default StreamConfig, then slices.Sort and sort.Slice over copies.
+func extsortCell(c *productsort.CompiledNetwork, n int, seed int64) (extsortEntry, error) {
 	if n < 1 {
 		return extsortEntry{}, fmt.Errorf("extsort bench: size %d < 1", n)
 	}
-	rng := rand.New(rand.NewSource(seed + int64(n) + int64(fanIn)<<32))
+	rng := rand.New(rand.NewSource(seed + int64(n)))
 	keys := make([]productsort.Key, n)
 	for i := range keys {
 		keys[i] = productsort.Key(rng.Int63() - 1<<62)
 	}
 
 	start := time.Now()
-	got, stats, err := c.SortStreamKeys(context.Background(), keys, productsort.StreamConfig{FanIn: fanIn})
+	got, stats, err := c.SortStreamKeys(context.Background(), keys, productsort.StreamConfig{})
 	streamNs := time.Since(start).Nanoseconds()
 	if err != nil {
-		return extsortEntry{}, fmt.Errorf("extsort bench: SortStream(n=%d, fanIn=%d): %w", n, fanIn, err)
+		return extsortEntry{}, fmt.Errorf("extsort bench: SortStream(n=%d): %w", n, err)
 	}
-	if len(got) != n || !sort.SliceIsSorted(got, func(i, j int) bool { return got[i] < got[j] }) {
-		return extsortEntry{}, fmt.Errorf("extsort bench: SortStream(n=%d, fanIn=%d) output unsorted or truncated (%d keys)", n, fanIn, len(got))
+	if len(got) != n || !slices.IsSorted(got) {
+		return extsortEntry{}, fmt.Errorf("extsort bench: SortStream(n=%d) output unsorted or truncated (%d keys)", n, len(got))
 	}
 
-	base := append([]productsort.Key(nil), keys...)
+	base := slices.Clone(keys)
+	start = time.Now()
+	slices.Sort(base)
+	slicesNs := time.Since(start).Nanoseconds()
+
+	copy(base, keys)
 	start = time.Now()
 	sort.Slice(base, func(i, j int) bool { return base[i] < base[j] })
 	baseNs := time.Since(start).Nanoseconds()
 
+	perSec := func(ns int64) float64 { return float64(n) / (float64(ns) / 1e9) }
 	return extsortEntry{
-		Keys:               n,
-		FanIn:              stats.MaxFanIn,
-		RunSize:            stats.RunSize,
-		Runs:               stats.Runs,
-		MergePasses:        stats.MergePasses,
-		SpilledBytes:       stats.SpilledBytes,
-		StreamNs:           streamNs,
-		BaselineNs:         baseNs,
-		StreamKeysPerSec:   float64(n) / (float64(streamNs) / 1e9),
-		BaselineKeysPerSec: float64(n) / (float64(baseNs) / 1e9),
-		Ratio:              float64(baseNs) / float64(streamNs),
+		Keys:                 n,
+		FanIn:                stats.MaxFanIn,
+		RunSize:              stats.RunSize,
+		Runs:                 stats.Runs,
+		MergePasses:          stats.MergePasses,
+		SpilledBytes:         stats.SpilledBytes,
+		StreamNs:             streamNs,
+		SlicesSortNs:         slicesNs,
+		BaselineNs:           baseNs,
+		StreamKeysPerSec:     perSec(streamNs),
+		SlicesSortKeysPerSec: perSec(slicesNs),
+		BaselineKeysPerSec:   perSec(baseNs),
+		SlicesSortRatio:      float64(slicesNs) / float64(streamNs),
+		Ratio:                float64(baseNs) / float64(streamNs),
 	}, nil
 }
 

@@ -11,7 +11,7 @@
 //	bench -chaos           # resilient sorts under injected faults
 //	bench -contend         # plan-store contention sweep across GOMAXPROCS
 //	bench -cert            # bitsliced 0-1 certification of compiled programs
-//	bench -extsort         # streaming external sort tier vs sort.Slice
+//	bench -extsort         # streaming external sort tier vs slices.Sort and sort.Slice
 //	bench -mode extsort    # same modes by name; unknown names fail the run
 //
 // Profiling flags (-cpuprofile, -memprofile) apply to every mode, so a
@@ -65,10 +65,9 @@ func run() int {
 	certOut := flag.String("certout", "BENCH_cert.json", "output path for -cert")
 	certMax := flag.Int("certmax", 20, "largest key count certified exhaustively for -cert")
 	certSample := flag.Int("certsample", 1<<16, "sampled-mode vector count for -cert")
-	extsortMode := flag.Bool("extsort", false, "benchmark the streaming external sort tier against sort.Slice and exit")
+	extsortMode := flag.Bool("extsort", false, "benchmark the streaming external sort tier against slices.Sort and sort.Slice and exit; fails if a size takes more than 2 merge passes")
 	extsortOut := flag.String("extsortout", "BENCH_extsort.json", "output path for -extsort")
 	extsortSizes := flag.String("extsortsizes", "10000,100000,1000000,10000000", "comma-separated input sizes for -extsort's size sweep")
-	extsortFanins := flag.String("fanins", "2,4,8,16,32,64", "comma-separated merge fan-ins for -extsort's fan-in sweep")
 	extsortSeed := flag.Int64("extsortseed", 1, "workload seed for -extsort")
 	mode := flag.String("mode", "", "select a mode by name (exp, schedule, chaos, serve, contend, cert, extsort) instead of the boolean flags; unknown names fail the run")
 	tracePath := flag.String("trace", "", "trace one sort on the selected network (-network/-n/-r), write Chrome trace_event JSON to this path, and exit")
@@ -178,7 +177,7 @@ func run() int {
 		}
 		return 0
 	case *extsortMode:
-		if err := runExtsortBench(*extsortOut, *extsortSizes, *extsortFanins, *extsortSeed); err != nil {
+		if err := runExtsortBench(*extsortOut, *extsortSizes, *extsortSeed); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return 1
 		}

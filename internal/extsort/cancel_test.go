@@ -35,7 +35,7 @@ func TestSortStreamCancelMidStream(t *testing.T) {
 		produced += len(dst)
 		return len(dst), nil
 	})
-	cfg := Config{RunSize: 16, FanIn: 4, MemoryKeys: 1, SpillDir: spillDir}
+	cfg := Config{MemoryKeys: 1, SpillDir: spillDir} // a binary merge; everything past it spills
 	done := make(chan error, 1)
 	go func() {
 		_, err := Sort(ctx, src, NewSliceWriter(), sorter, cfg)

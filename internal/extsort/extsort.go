@@ -20,11 +20,14 @@
 //
 // Memory is bounded: sorted runs beyond the configured resident-key
 // budget spill to a temp file (sequential segment writes, positional
-// segment reads) and intermediate merge passes stream spill-to-spill,
-// so peak residency is O(MemoryKeys + FanIn·buffer) regardless of
-// input length. The whole pipeline is cancellable between stages via
-// context and instrumented with extsort.* counters and per-stage
-// latency histograms.
+// segment reads) and intermediate merge passes stream spill-to-spill.
+// The merge fan-in is derived, not configured: the widest merge whose
+// read buffers fit the budget, narrowed to the fewest passes the run
+// count needs (at most 2 up to 261,121 runs at the default budget), so
+// peak residency is O(MemoryKeys) regardless of input length. The
+// whole pipeline is cancellable between stages via context and
+// instrumented with extsort.* counters and per-stage latency
+// histograms.
 package extsort
 
 import (
@@ -77,21 +80,14 @@ type RunSorter interface {
 }
 
 // Config parametrizes Sort. The zero value of every field selects a
-// sensible default.
+// sensible default. The run size, the run batch and the merge fan-in
+// are not settable: the first two are constants (maxRunSize, runBatch)
+// and the fan-in is derived from the run count and MemoryKeys
+// (mergeWidth).
 type Config struct {
-	// RunSize is the key count per run (default min(1024,
-	// sorter.MaxRun()); must not exceed sorter.MaxRun()).
-	RunSize int
-	// FanIn bounds the merge fan-in: at most this many runs merge in
-	// one pass; more runs take multiple passes (default 16, min 2).
-	FanIn int
-	// RunBatch is how many formed runs accumulate before one SortRuns
-	// call — the batch the columnar replay amortizes its program walk
-	// over (default 16).
-	RunBatch int
 	// MemoryKeys bounds resident sorted keys: runs beyond it spill to
-	// disk (default 1<<21 keys = 16 MiB; min FanIn·spillBufKeys so the
-	// merge always has buffer room).
+	// disk (default 1<<21 keys = 16 MiB; min 3·spillBufKeys, the
+	// buffers of a binary merge). It also bounds the merge fan-in.
 	MemoryKeys int
 	// SpillDir is where the spill file lives (default os.TempDir()).
 	SpillDir string
@@ -111,10 +107,12 @@ type Stats struct {
 	Keys int64 `json:"keys"`
 	// Runs is the number of runs formed (the merge's leaf count).
 	Runs int64 `json:"runs"`
-	// RunSize and FanIn echo the effective configuration.
+	// RunSize is the key count per run; FanIn is the merge width
+	// derived from Runs and MemoryKeys (mergeWidth).
 	RunSize int `json:"runSize"`
 	FanIn   int `json:"fanIn"`
-	// MergePasses counts merge passes (1 when Runs <= FanIn).
+	// MergePasses counts merge passes: 1 while Runs fits the budget's
+	// widest merge, and at most 2 up to that width squared.
 	MergePasses int `json:"mergePasses"`
 	// MaxFanIn is the widest fan-in any single merge used.
 	MaxFanIn int `json:"maxFanIn"`
@@ -143,8 +141,9 @@ type metrics struct {
 	runFormNs   *obs.Histogram
 }
 
-// FanInBuckets is the histogram layout for realized merge fan-ins.
-var FanInBuckets = []int64{2, 4, 8, 16, 32, 64, 128}
+// FanInBuckets is the histogram layout for realized merge fan-ins, up
+// to the default budget's widest merge (511).
+var FanInBuckets = []int64{2, 4, 8, 16, 32, 64, 128, 256, 512}
 
 func newMetrics(m *obs.Metrics) *metrics {
 	if m == nil {
@@ -163,61 +162,36 @@ func newMetrics(m *obs.Metrics) *metrics {
 	}
 }
 
-// defaultRunSize is the run length chosen when the sorter's ceiling
-// allows it: large enough to amortize the merge, small enough that the
-// planner maps it to a mid-size certified network.
-const defaultRunSize = 1024
+const (
+	// maxRunSize caps the run length: large enough to amortize the
+	// merge, small enough that the planner maps it to a mid-size
+	// certified network. Runs are min(maxRunSize, sorter.MaxRun()).
+	maxRunSize = 1024
+	// runBatch is how many formed runs accumulate before one SortRuns
+	// call — the batch the columnar replay amortizes its program walk
+	// over, and on the serve path the runs in flight at once.
+	runBatch = 16
+	// defaultMemoryKeys is MemoryKeys when unset (16 MiB of keys).
+	defaultMemoryKeys = 1 << 21
+)
 
 // normalize validates cfg against the sorter and fills defaults.
 func (cfg Config) normalize(sorter RunSorter) (Config, error) {
 	if sorter == nil {
 		return cfg, ErrNilSorter
 	}
-	maxRun := sorter.MaxRun()
-	if maxRun < 1 {
+	if maxRun := sorter.MaxRun(); maxRun < 1 {
 		return cfg, &ConfigError{Field: "RunSorter", Reason: fmt.Sprintf("MaxRun %d < 1", maxRun)}
-	}
-	if cfg.RunSize < 0 {
-		return cfg, &ConfigError{Field: "RunSize", Reason: fmt.Sprintf("negative value %d", cfg.RunSize)}
-	}
-	if cfg.RunSize == 0 {
-		cfg.RunSize = defaultRunSize
-		if cfg.RunSize > maxRun {
-			cfg.RunSize = maxRun
-		}
-	}
-	if cfg.RunSize > maxRun {
-		return cfg, &ConfigError{
-			Field:  "RunSize",
-			Reason: fmt.Sprintf("%d exceeds the run sorter's ceiling %d", cfg.RunSize, maxRun),
-		}
-	}
-	if cfg.FanIn < 0 {
-		return cfg, &ConfigError{Field: "FanIn", Reason: fmt.Sprintf("negative value %d", cfg.FanIn)}
-	}
-	if cfg.FanIn == 0 {
-		cfg.FanIn = 16
-	}
-	if cfg.FanIn < 2 {
-		return cfg, &ConfigError{Field: "FanIn", Reason: fmt.Sprintf("%d < 2: a merge needs two inputs", cfg.FanIn)}
-	}
-	if cfg.RunBatch < 0 {
-		return cfg, &ConfigError{Field: "RunBatch", Reason: fmt.Sprintf("negative value %d", cfg.RunBatch)}
-	}
-	if cfg.RunBatch == 0 {
-		cfg.RunBatch = 16
 	}
 	if cfg.MemoryKeys < 0 {
 		return cfg, &ConfigError{Field: "MemoryKeys", Reason: fmt.Sprintf("negative value %d", cfg.MemoryKeys)}
 	}
 	if cfg.MemoryKeys == 0 {
-		cfg.MemoryKeys = 1 << 21
+		cfg.MemoryKeys = defaultMemoryKeys
 	}
-	// The merge needs one read buffer per spilled input plus the output
-	// block; below this floor spilling would thrash.
-	if floor := (cfg.FanIn + 1) * spillBufKeys; cfg.MemoryKeys < floor {
-		cfg.MemoryKeys = floor
-	}
+	// A merge needs one read buffer per input plus the output block;
+	// below a binary merge's three buffers spilling would thrash.
+	cfg.MemoryKeys = max(cfg.MemoryKeys, 3*spillBufKeys)
 	return cfg, nil
 }
 
@@ -235,7 +209,7 @@ func Sort(ctx context.Context, src Reader, dst Writer, sorter RunSorter, cfg Con
 		ctx = context.Background()
 	}
 	met := newMetrics(cfg.Metrics)
-	stats := &Stats{RunSize: cfg.RunSize, FanIn: cfg.FanIn}
+	stats := &Stats{RunSize: min(maxRunSize, sorter.MaxRun())}
 
 	store := newRunStore(cfg.SpillDir, cfg.MemoryKeys, stats, met)
 	defer store.close()
@@ -253,12 +227,12 @@ func Sort(ctx context.Context, src Reader, dst Writer, sorter RunSorter, cfg Con
 	return stats, nil
 }
 
-// formRuns chunks src into RunSize runs, sorts them RunBatch at a time
-// through the run sorter, optionally verifies each, and hands them to
-// the store (which keeps them resident or spills them under the
-// memory budget).
+// formRuns chunks src into stats.RunSize runs, sorts them runBatch at
+// a time through the run sorter, optionally verifies each, and hands
+// them to the store (which keeps them resident or spills them under
+// the memory budget).
 func formRuns(ctx context.Context, src Reader, sorter RunSorter, cfg Config, store *runStore, stats *Stats, met *metrics) error {
-	batch := make([][]Key, 0, cfg.RunBatch)
+	batch := make([][]Key, 0, runBatch)
 	flush := func() error {
 		if len(batch) == 0 {
 			return nil
@@ -288,7 +262,7 @@ func formRuns(ctx context.Context, src Reader, sorter RunSorter, cfg Config, sto
 			return err
 		}
 		t0 := time.Now()
-		run, err := readRun(src, cfg.RunSize)
+		run, err := readRun(src, stats.RunSize)
 		d := time.Since(t0).Nanoseconds()
 		stats.RunFormNs += d
 		if met != nil && len(run) > 0 {
@@ -298,7 +272,7 @@ func formRuns(ctx context.Context, src Reader, sorter RunSorter, cfg Config, sto
 			stats.Keys += int64(len(run))
 			stats.Runs++
 			batch = append(batch, run)
-			if len(batch) == cfg.RunBatch {
+			if len(batch) == runBatch {
 				if ferr := flush(); ferr != nil {
 					return ferr
 				}

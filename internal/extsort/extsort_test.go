@@ -28,6 +28,15 @@ func compiledSorter(t testing.TB) *NetworkSorter {
 	return NewNetworkSorter(prog, 1)
 }
 
+// cappedSorter lowers a run sorter's ceiling, and with it the run
+// size Sort picks: min(1024, MaxRun()).
+type cappedSorter struct {
+	RunSorter
+	max int
+}
+
+func (c cappedSorter) MaxRun() int { return c.max }
+
 // oracle returns keys sorted by the standard library.
 func oracle(keys []Key) []Key {
 	want := append([]Key(nil), keys...)
@@ -104,16 +113,20 @@ func adversarialShapes(runSize int) map[string][]Key {
 }
 
 // TestSortStreamOracleNetwork: the full battery through the certified
-// network run sorter, at fan-in 2 (maximum merge depth) and a fan-in
-// wide enough for a single merge pass.
+// network run sorter, under a budget that only fits a binary merge
+// (maximum merge depth) and one wide enough for a single merge pass.
 func TestSortStreamOracleNetwork(t *testing.T) {
 	sorter := compiledSorter(t)
 	runSize := sorter.MaxRun() // 16
 	for _, fanIn := range []int{2, 64} {
+		cfg := Config{MemoryKeys: (fanIn + 1) * spillBufKeys}
 		for name, keys := range adversarialShapes(runSize) {
 			t.Run(fmt.Sprintf("fanin%d/%s", fanIn, name), func(t *testing.T) {
-				got, stats := runSort(t, keys, sorter, Config{RunSize: runSize, FanIn: fanIn})
+				got, stats := runSort(t, keys, sorter, cfg)
 				checkEqual(t, keys, got, name)
+				if stats.MaxFanIn > fanIn {
+					t.Fatalf("stats.MaxFanIn = %d above the budget's %d", stats.MaxFanIn, fanIn)
+				}
 				if want := int64(len(keys)); stats.Keys != want {
 					t.Fatalf("stats.Keys = %d, want %d", stats.Keys, want)
 				}
@@ -125,17 +138,17 @@ func TestSortStreamOracleNetwork(t *testing.T) {
 	}
 }
 
-// TestSortStreamSingleKeyRuns: RunSize 1 degenerates run formation to
-// per-key runs — the merge does all the sorting.
+// TestSortStreamSingleKeyRuns: a run sorter with MaxRun 1 degenerates
+// run formation to per-key runs — the merge does all the sorting.
 func TestSortStreamSingleKeyRuns(t *testing.T) {
 	keys := []Key{5, -2, 9, 0, 0, -2, 7, 3, 3, 1}
-	got, stats := runSort(t, keys, SliceSorter{}, Config{RunSize: 1, FanIn: 2})
+	got, stats := runSort(t, keys, SliceSorter{Max: 1}, Config{MemoryKeys: 1})
 	checkEqual(t, keys, got, "single-key runs")
 	if stats.Runs != int64(len(keys)) {
 		t.Fatalf("Runs = %d, want %d", stats.Runs, len(keys))
 	}
 	if stats.MergePasses < 3 {
-		t.Fatalf("MergePasses = %d, want >= 3 for 10 runs at fan-in 2", stats.MergePasses)
+		t.Fatalf("MergePasses = %d, want >= 3 for 10 runs under a binary-merge budget", stats.MergePasses)
 	}
 }
 
@@ -149,12 +162,10 @@ func TestSortStreamSpill(t *testing.T) {
 		keys[i] = Key(rng.Int63() - 1<<62)
 	}
 	cfg := Config{
-		RunSize:    512,
-		FanIn:      4,
-		MemoryKeys: 1, // clamped up to the merge floor; far below the input
+		MemoryKeys: 5 * spillBufKeys, // a 4-way merge at most; far below the input
 		SpillDir:   t.TempDir(),
 	}
-	got, stats := runSort(t, keys, SliceSorter{}, cfg)
+	got, stats := runSort(t, keys, SliceSorter{Max: 512}, cfg)
 	checkEqual(t, keys, got, "spill")
 	if stats.SpilledRuns == 0 || stats.SpilledBytes == 0 {
 		t.Fatalf("expected spilling, got stats %+v", stats)
@@ -162,14 +173,17 @@ func TestSortStreamSpill(t *testing.T) {
 	if stats.MergePasses < 2 {
 		t.Fatalf("MergePasses = %d, want >= 2 at fan-in 4 over %d runs", stats.MergePasses, stats.Runs)
 	}
+	if stats.FanIn != 4 {
+		t.Fatalf("FanIn = %d, want 4 for %d runs under a 4-way budget", stats.FanIn, stats.Runs)
+	}
 }
 
 // TestSortStreamSentinelKeys: keys at the sentinel value (MaxInt64)
 // must survive the padding round-trip.
 func TestSortStreamSentinelKeys(t *testing.T) {
 	keys := []Key{schedule.Sentinel, 3, schedule.Sentinel, -1, 0, schedule.Sentinel - 1}
-	sorter := compiledSorter(t)
-	got, _ := runSort(t, keys, sorter, Config{RunSize: 4, FanIn: 2})
+	sorter := cappedSorter{compiledSorter(t), 4}
+	got, _ := runSort(t, keys, sorter, Config{MemoryKeys: 1})
 	checkEqual(t, keys, got, "sentinel keys")
 }
 
@@ -208,8 +222,8 @@ func TestEveryRunSortedIndependently(t *testing.T) {
 		for i := range keys {
 			keys[i] = Key(rng.Int63n(1024) - 512) // narrow domain: many duplicates
 		}
-		rec := &recordingSorter{inner: base}
-		got, stats := runSort(t, keys, rec, Config{RunSize: runSize, FanIn: 2 + rng.Intn(8)})
+		rec := &recordingSorter{inner: cappedSorter{base, runSize}}
+		got, stats := runSort(t, keys, rec, Config{MemoryKeys: (3 + rng.Intn(8)) * spillBufKeys})
 		var total int
 		for i, run := range rec.runs {
 			if !sort.SliceIsSorted(run, func(a, b int) bool { return run[a] < run[b] }) {
@@ -251,7 +265,7 @@ func TestVerifyRunsCatchesBrokenSorter(t *testing.T) {
 		keys[i] = Key(255 - i)
 	}
 	_, err := Sort(context.Background(), NewSliceReader(keys), NewSliceWriter(),
-		&brokenSorter{}, Config{RunSize: 64, FanIn: 2, VerifyRuns: true, RunBatch: 1})
+		&brokenSorter{}, Config{VerifyRuns: true})
 	if !errors.Is(err, ErrRunUnsorted) {
 		t.Fatalf("err = %v, want ErrRunUnsorted", err)
 	}
@@ -260,19 +274,18 @@ func TestVerifyRunsCatchesBrokenSorter(t *testing.T) {
 // TestSortConfigValidation: bad knobs fail fast with *ConfigError.
 func TestSortConfigValidation(t *testing.T) {
 	src := func() Reader { return NewSliceReader([]Key{1}) }
-	cases := []Config{
-		{RunSize: -1},
-		{FanIn: -3},
-		{FanIn: 1},
-		{RunBatch: -1},
-		{MemoryKeys: -1},
-		{RunSize: 99}, // exceeds SliceSorter{Max: 8}
+	cases := []struct {
+		sorter RunSorter
+		cfg    Config
+	}{
+		{SliceSorter{Max: 8}, Config{MemoryKeys: -1}},
+		{cappedSorter{SliceSorter{}, 0}, Config{}}, // MaxRun below 1
 	}
-	for i, cfg := range cases {
-		_, err := Sort(context.Background(), src(), NewSliceWriter(), SliceSorter{Max: 8}, cfg)
+	for i, c := range cases {
+		_, err := Sort(context.Background(), src(), NewSliceWriter(), c.sorter, c.cfg)
 		var ce *ConfigError
 		if !errors.As(err, &ce) {
-			t.Fatalf("case %d (%+v): err = %v, want *ConfigError", i, cfg, err)
+			t.Fatalf("case %d (%+v): err = %v, want *ConfigError", i, c.cfg, err)
 		}
 	}
 	if _, err := Sort(context.Background(), src(), NewSliceWriter(), nil, Config{}); !errors.Is(err, ErrNilSorter) {
@@ -296,13 +309,13 @@ func TestSortEmptyStream(t *testing.T) {
 
 // TestLoserTreeMerge: the tree against a heap-free reference across
 // widths 1..33, including exhausted-at-start and duplicate-heavy
-// streams.
+// cursors.
 func TestLoserTreeMerge(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for k := 1; k <= 33; k++ {
 		var all []Key
-		streams := make([]keyStream, k)
-		for i := range streams {
+		handles := make([]runHandle, k)
+		for i := range handles {
 			n := rng.Intn(20) // sometimes zero: exhausted before the first pop
 			run := make([]Key, n)
 			for j := range run {
@@ -310,9 +323,9 @@ func TestLoserTreeMerge(t *testing.T) {
 			}
 			sort.Slice(run, func(a, b int) bool { return run[a] < run[b] })
 			all = append(all, run...)
-			streams[i] = &memStream{keys: run}
+			handles[i] = runHandle{mem: run}
 		}
-		lt := newLoserTree(streams)
+		lt := newLoserTree(nil, handles, &Stats{}, nil)
 		var got []Key
 		for {
 			v, ok := lt.pop()
@@ -326,4 +339,99 @@ func TestLoserTreeMerge(t *testing.T) {
 		}
 		checkEqual(t, all, got, fmt.Sprintf("k=%d", k))
 	}
+}
+
+// mergePasses is how many passes merging runs in groups of k takes:
+// mergeRuns' loop, without the merging.
+func mergePasses(runs, k int) int {
+	passes := 1
+	for ; runs > k; runs = (runs + k - 1) / k {
+		passes++
+	}
+	return passes
+}
+
+// TestMergeWidth: the derived fan-in takes one pass while the runs fit
+// the budget's widest merge, the fewest passes otherwise — at most 2 up
+// to kMax² runs at the default budget — with the narrowest width that
+// still finishes in them, never below 2.
+func TestMergeWidth(t *testing.T) {
+	cases := []struct{ runs, memoryKeys, k, passes int }{
+		{1, defaultMemoryKeys, 2, 1},
+		{2, defaultMemoryKeys, 2, 1},
+		{511, defaultMemoryKeys, 511, 1},
+		{512, defaultMemoryKeys, 23, 2},
+		{3907, defaultMemoryKeys, 63, 2}, // 4M keys in 1024-key runs
+		{261_121, defaultMemoryKeys, 511, 2},
+		{261_122, defaultMemoryKeys, 64, 3},
+		{8, 3 * spillBufKeys, 2, 3},
+		{157, 5 * spillBufKeys, 4, 4},
+	}
+	for _, c := range cases {
+		k := mergeWidth(c.runs, c.memoryKeys)
+		if passes := mergePasses(c.runs, k); k != c.k || passes != c.passes {
+			t.Errorf("mergeWidth(%d, %d) = %d (%d passes), want %d (%d passes)", c.runs, c.memoryKeys, k, passes, c.k, c.passes)
+		}
+	}
+	for _, budget := range []int{3 * spillBufKeys, 10 * spillBufKeys, defaultMemoryKeys} {
+		kMax := budget/spillBufKeys - 1
+		for runs := 1; runs <= 300_000; runs += 1 + runs/97 {
+			k := mergeWidth(runs, budget)
+			passes := mergePasses(runs, k)
+			if k < 2 || k > kMax {
+				t.Fatalf("mergeWidth(%d, %d): width %d outside [2, %d]", runs, budget, k, kMax)
+			}
+			if (runs <= kMax) != (passes == 1) {
+				t.Fatalf("mergeWidth(%d, %d): %d passes with the widest merge %d", runs, budget, passes, kMax)
+			}
+			if budget == defaultMemoryKeys && runs <= kMax*kMax && passes > 2 {
+				t.Fatalf("mergeWidth(%d): %d passes at the default budget", runs, passes)
+			}
+			if passes > mergePasses(runs, kMax) {
+				t.Fatalf("mergeWidth(%d, %d) = %d takes %d passes, the widest merge %d takes fewer", runs, budget, k, passes, kMax)
+			}
+			if k > 2 && mergePasses(runs, k-1) == passes {
+				t.Fatalf("mergeWidth(%d, %d): width %d is not the narrowest for %d passes", runs, budget, k, passes)
+			}
+		}
+	}
+}
+
+// TestMergeFreesConsumedRuns: once the merge starts the store no longer
+// holds the handles, and an intermediate pass clears every handle it
+// consumed, so resident runs become garbage as they are merged instead
+// of living until Sort returns.
+func TestMergeFreesConsumedRuns(t *testing.T) {
+	stats := &Stats{}
+	st := newRunStore(t.TempDir(), defaultMemoryKeys, stats, nil)
+	defer st.close()
+	rng := rand.New(rand.NewSource(17))
+	var keys []Key
+	for range 7 {
+		run := make([]Key, 10)
+		for i := range run {
+			run[i] = Key(rng.Intn(100))
+		}
+		keys = append(keys, run...)
+		if err := st.add(oracle(run)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	handles := st.runs // shares the array the first pass consumes
+	out := NewSliceWriter()
+	if err := mergeRuns(context.Background(), st, out, Config{MemoryKeys: 3 * spillBufKeys}, stats, nil); err != nil {
+		t.Fatal(err)
+	}
+	if stats.MergePasses != 3 {
+		t.Fatalf("MergePasses = %d, want 3 for 7 runs in a binary merge", stats.MergePasses)
+	}
+	if st.runs != nil {
+		t.Fatalf("store still holds %d handles after the merge", len(st.runs))
+	}
+	for i, h := range handles {
+		if h.mem != nil {
+			t.Fatalf("handle %d still holds its %d resident keys after the first pass", i, len(h.mem))
+		}
+	}
+	checkEqual(t, keys, out.Keys(), "merged")
 }

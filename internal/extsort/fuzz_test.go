@@ -6,26 +6,23 @@ import (
 	"testing"
 )
 
-// FuzzSortStreamEquivalence: for fuzz-chosen input lengths, run sizes,
-// fan-ins and memory budgets, the streaming tier through the certified
-// network run sorter must agree with sort.Slice exactly. Wired into
-// `make fuzz` and `make extsort-fuzz`.
+// FuzzSortStreamEquivalence: for fuzz-chosen input lengths, run
+// sorter ceilings and memory budgets — the budget sets both the spill
+// point and the derived merge fan-in — the streaming tier through the
+// certified network run sorter must agree with sort.Slice exactly.
+// Wired into `make fuzz` and `make extsort-fuzz`.
 func FuzzSortStreamEquivalence(f *testing.F) {
-	f.Add(int64(1), uint16(100), uint8(7), uint8(3), false)
-	f.Add(int64(2), uint16(4096), uint8(16), uint8(2), true)
-	f.Add(int64(-9), uint16(1), uint8(1), uint8(8), false)
-	f.Add(int64(77), uint16(1000), uint8(13), uint8(2), true)
-	sorter := compiledSorter(f)
-	maxRun := sorter.MaxRun()
-	f.Fuzz(func(t *testing.T, seed int64, n uint16, runSize, fanIn uint8, spill bool) {
-		cfg := Config{
-			RunSize: 1 + int(runSize)%maxRun,
-			FanIn:   2 + int(fanIn)%31,
-		}
-		if spill {
-			cfg.MemoryKeys = 1 // clamped to the merge floor; forces spilling past it
-			cfg.SpillDir = t.TempDir()
-		}
+	f.Add(int64(1), uint16(100), uint8(7), uint16(0))
+	f.Add(int64(2), uint16(40000), uint8(16), uint16(3))
+	f.Add(int64(-9), uint16(1), uint8(1), uint16(8))
+	f.Add(int64(77), uint16(1000), uint8(1), uint16(1))
+	base := compiledSorter(f)
+	maxRun := base.MaxRun()
+	f.Fuzz(func(t *testing.T, seed int64, n uint16, runCap uint8, budget uint16) {
+		sorter := cappedSorter{base, 1 + int(runCap)%maxRun}
+		// Budgets below the binary-merge floor clamp up to it; 0 is
+		// the default budget.
+		cfg := Config{MemoryKeys: int(budget) * spillBufKeys / 4, SpillDir: t.TempDir()}
 		keys := make([]Key, int(n))
 		x := uint64(seed)
 		for i := range keys {
@@ -35,7 +32,7 @@ func FuzzSortStreamEquivalence(f *testing.F) {
 		out := NewSliceWriter()
 		stats, err := Sort(context.Background(), NewSliceReader(keys), out, sorter, cfg)
 		if err != nil {
-			t.Fatalf("Sort(n=%d cfg=%+v): %v", n, cfg, err)
+			t.Fatalf("Sort(n=%d maxRun=%d cfg=%+v): %v", n, sorter.max, cfg, err)
 		}
 		if stats.Keys != int64(len(keys)) {
 			t.Fatalf("stats.Keys = %d, want %d", stats.Keys, len(keys))
@@ -48,7 +45,7 @@ func FuzzSortStreamEquivalence(f *testing.F) {
 		}
 		for i := range want {
 			if got[i] != want[i] {
-				t.Fatalf("mismatch at %d: got %d want %d (n=%d cfg=%+v)", i, got[i], want[i], n, cfg)
+				t.Fatalf("mismatch at %d: got %d want %d (n=%d maxRun=%d cfg=%+v)", i, got[i], want[i], n, sorter.max, cfg)
 			}
 		}
 	})

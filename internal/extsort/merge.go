@@ -4,11 +4,11 @@
 // so emitting the minimum and reseating its replacement costs exactly
 // ⌈log₂ k⌉ comparisons — the same per-level compare cascade the
 // merging network performs in one parallel step, serialized. When the
-// run count exceeds the fan-in, full passes merge groups of FanIn runs
-// into intermediate spill segments (bounded memory: a pass holds FanIn
-// read buffers and one write buffer, never a whole run), exactly the
-// recursive composition the agglomeration law certifies (THEORY.md
-// §15).
+// run count exceeds the widest merge the memory budget allows, full
+// passes merge groups of runs into intermediate spill segments
+// (bounded memory: a pass holds one read buffer per input and one
+// write buffer, never a whole spilled run), exactly the recursive
+// composition the agglomeration law certifies (THEORY.md §15).
 
 package extsort
 
@@ -21,8 +21,37 @@ import (
 // Writer.Write calls, context checks, and intermediate segment writes.
 const outBlockKeys = 4096
 
-// mergeRuns merges every run in the store into dst, in as many passes
-// as the fan-in demands.
+// mergeWidth derives the merge fan-in from the run count and the
+// memory budget. A merge of k inputs holds k read buffers and one
+// output block, so the budget allows kMax = memoryKeys/spillBufKeys − 1
+// inputs. The merge takes the fewest passes p with kMax^p ≥ runs and
+// the narrowest width k ≥ 2 with k^p ≥ runs: each of the first p−1
+// passes merges groups of k into spill segments, which leaves at most
+// k runs for the final pass.
+func mergeWidth(runs, memoryKeys int) int {
+	kMax := memoryKeys/spillBufKeys - 1
+	passes := 1
+	for reach := kMax; reach < runs; reach *= kMax {
+		passes++
+	}
+	k := 2
+	for !covers(k, passes, runs) {
+		k++
+	}
+	return k
+}
+
+// covers reports whether k^p ≥ runs.
+func covers(k, p, runs int) bool {
+	x := 1
+	for range p {
+		x *= k
+	}
+	return x >= runs
+}
+
+// mergeRuns merges every run in the store into dst, in the passes
+// mergeWidth derives.
 func mergeRuns(ctx context.Context, store *runStore, dst Writer, cfg Config, stats *Stats, met *metrics) error {
 	t0 := time.Now()
 	defer func() {
@@ -30,40 +59,61 @@ func mergeRuns(ctx context.Context, store *runStore, dst Writer, cfg Config, sta
 		stats.MergeNs += d
 		if met != nil {
 			met.mergeNs.Observe(d)
+			met.mergePasses.Add(int64(stats.MergePasses))
 		}
 	}()
 
+	// The merge owns the handles from here on: each pass drops the
+	// runs it consumed, so resident runs are freed as they are merged.
 	handles := store.runs
+	store.runs = nil
 	if len(handles) == 0 {
 		return nil // empty input: nothing to write
 	}
-	// Intermediate passes: groups of FanIn runs merge into spill
-	// segments until one final merge fits the fan-in.
-	for len(handles) > cfg.FanIn {
-		next := make([]runHandle, 0, (len(handles)+cfg.FanIn-1)/cfg.FanIn)
-		for lo := 0; lo < len(handles); lo += cfg.FanIn {
-			hi := lo + cfg.FanIn
-			if hi > len(handles) {
-				hi = len(handles)
-			}
-			group := handles[lo:hi]
-			if len(group) == 1 {
-				next = append(next, group[0])
-				continue
-			}
-			merged, err := mergeToSpill(ctx, store, group, stats, met)
-			if err != nil {
-				return err
-			}
-			next = append(next, merged)
+	k := mergeWidth(len(handles), cfg.MemoryKeys)
+	stats.FanIn = k
+	for len(handles) > k {
+		var err error
+		if handles, err = mergePass(ctx, store, handles, k, stats, met); err != nil {
+			return err
 		}
-		handles = next
-		stats.MergePasses++
 	}
 	// Final pass: fan the surviving runs into the sink.
 	stats.MergePasses++
-	observeFanIn(len(handles), stats, met)
-	lt := newLoserTree(streamsFor(store, handles))
+	return drain(ctx, newLoserTree(store, handles, stats, met), dst)
+}
+
+// mergePass merges handles in groups of k into spill segments and
+// returns the merged runs. It clears each group's handles once merged,
+// so a consumed resident run is garbage by the next group.
+func mergePass(ctx context.Context, store *runStore, handles []runHandle, k int, stats *Stats, met *metrics) ([]runHandle, error) {
+	next := make([]runHandle, 0, (len(handles)+k-1)/k)
+	for lo := 0; lo < len(handles); lo += k {
+		group := handles[lo:min(lo+k, len(handles))]
+		merged := group[0]
+		if len(group) > 1 {
+			w, err := store.beginSegment()
+			if err != nil {
+				return nil, err
+			}
+			if err := drain(ctx, newLoserTree(store, group, stats, met), w); err != nil {
+				return nil, err
+			}
+			if merged, err = w.finish(); err != nil {
+				return nil, err
+			}
+		}
+		next = append(next, merged)
+		clear(group)
+	}
+	stats.MergePasses++
+	return next, nil
+}
+
+// drain pops the tree dry into w in outBlockKeys blocks, checking the
+// context between blocks; it is the loop of every merge pass, final or
+// intermediate.
+func drain(ctx context.Context, lt *loserTree, w Writer) error {
 	block := make([]Key, 0, outBlockKeys)
 	for {
 		k, ok := lt.pop()
@@ -75,7 +125,7 @@ func mergeRuns(ctx context.Context, store *runStore, dst Writer, cfg Config, sta
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			if err := dst.Write(block); err != nil {
+			if err := w.Write(block); err != nil {
 				return err
 			}
 			block = block[:0]
@@ -85,62 +135,9 @@ func mergeRuns(ctx context.Context, store *runStore, dst Writer, cfg Config, sta
 		return err
 	}
 	if len(block) > 0 {
-		if err := dst.Write(block); err != nil {
-			return err
-		}
+		return w.Write(block)
 	}
 	return nil
-}
-
-// mergeToSpill merges one group of runs into a new spill segment,
-// releasing the group's residency as it drains.
-func mergeToSpill(ctx context.Context, store *runStore, group []runHandle, stats *Stats, met *metrics) (runHandle, error) {
-	observeFanIn(len(group), stats, met)
-	lt := newLoserTree(streamsFor(store, group))
-	w, err := store.beginSegment()
-	if err != nil {
-		return runHandle{}, err
-	}
-	block := make([]Key, 0, outBlockKeys)
-	for {
-		k, ok := lt.pop()
-		if !ok {
-			break
-		}
-		block = append(block, k)
-		if len(block) == outBlockKeys {
-			if err := ctx.Err(); err != nil {
-				return runHandle{}, err
-			}
-			if err := w.write(block); err != nil {
-				return runHandle{}, err
-			}
-			block = block[:0]
-		}
-	}
-	if err := lt.fail(); err != nil {
-		return runHandle{}, err
-	}
-	if err := w.write(block); err != nil {
-		return runHandle{}, err
-	}
-	merged, err := w.finish()
-	if err != nil {
-		return runHandle{}, err
-	}
-	for _, h := range group {
-		store.release(h)
-	}
-	return merged, nil
-}
-
-// streamsFor opens a cursor per handle.
-func streamsFor(store *runStore, handles []runHandle) []keyStream {
-	streams := make([]keyStream, len(handles))
-	for i, h := range handles {
-		streams[i] = store.stream(h)
-	}
-	return streams
 }
 
 // observeFanIn records one realized merge width.
@@ -153,39 +150,43 @@ func observeFanIn(k int, stats *Stats, met *metrics) {
 	}
 }
 
-// loserTree is the tournament the merge runs. Leaves are streams
+// loserTree is the tournament the merge runs. Leaves are run cursors
 // (padded to a power of two with exhausted dummies); internal node j
 // holds the loser of the match played there, and the overall winner
-// rides in a register. Ties break toward the lower stream index, so
+// rides in a register. Ties break toward the lower cursor index, so
 // the merge is deterministic for any input.
 type loserTree struct {
 	k       int // padded leaf count, power of two
-	n       int // real stream count
 	winner  int
 	tree    []int // internal nodes 1..k-1; tree[j] = loser at j
 	heads   []Key
 	done    []bool
-	streams []keyStream
+	cursors []cursor
 }
 
-// newLoserTree builds the tournament and plays the initial matches.
-func newLoserTree(streams []keyStream) *loserTree {
-	n := len(streams)
+// newLoserTree opens a cursor per handle, records the merge width, and
+// plays the initial matches.
+func newLoserTree(store *runStore, handles []runHandle, stats *Stats, met *metrics) *loserTree {
+	observeFanIn(len(handles), stats, met)
+	n := len(handles)
+	cursors := make([]cursor, n)
+	for i, h := range handles {
+		cursors[i] = store.cursor(h)
+	}
 	k := 1
 	for k < n {
 		k <<= 1
 	}
 	lt := &loserTree{
 		k:       k,
-		n:       n,
 		tree:    make([]int, k),
 		heads:   make([]Key, k),
 		done:    make([]bool, k),
-		streams: streams,
+		cursors: cursors,
 	}
 	for i := 0; i < k; i++ {
 		if i < n {
-			if head, ok := streams[i].next(); ok {
+			if head, ok := lt.cursors[i].next(); ok {
 				lt.heads[i] = head
 				continue
 			}
@@ -217,8 +218,8 @@ func newLoserTree(streams []keyStream) *loserTree {
 	return lt
 }
 
-// beats reports whether stream a's head wins against stream b's:
-// exhausted streams always lose, equal keys go to the lower index.
+// beats reports whether cursor a's head wins against cursor b's:
+// exhausted cursors always lose, equal keys go to the lower index.
 func (lt *loserTree) beats(a, b int) bool {
 	switch {
 	case lt.done[a]:
@@ -240,7 +241,7 @@ func (lt *loserTree) pop() (Key, bool) {
 		return 0, false
 	}
 	out := lt.heads[w]
-	if head, ok := lt.streams[w].next(); ok {
+	if head, ok := lt.cursors[w].next(); ok {
 		lt.heads[w] = head
 	} else {
 		lt.done[w] = true
@@ -254,11 +255,11 @@ func (lt *loserTree) pop() (Key, bool) {
 	return out, true
 }
 
-// fail surfaces the first stream read error, distinguishing a failed
+// fail surfaces the first cursor read error, distinguishing a failed
 // spill read from a cleanly exhausted merge.
 func (lt *loserTree) fail() error {
-	for _, s := range lt.streams {
-		if err := s.fail(); err != nil {
+	for i := range lt.cursors {
+		if err := lt.cursors[i].err; err != nil {
 			return err
 		}
 	}

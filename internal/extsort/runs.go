@@ -38,6 +38,7 @@ type runStore struct {
 	file    *os.File
 	fileEnd int64
 	wbuf    []byte // spill encode buffer, spillBufKeys wide
+	rbuf    []byte // spill decode buffer, shared by the merge's cursors
 
 	stats *Stats
 	met   *metrics
@@ -95,14 +96,15 @@ func (st *runStore) spill(run []Key) (runHandle, error) {
 	if err != nil {
 		return runHandle{}, err
 	}
-	if err := w.write(run); err != nil {
+	if err := w.Write(run); err != nil {
 		return runHandle{}, err
 	}
 	return w.finish()
 }
 
 // segmentWriter streams one run (or one intermediate merged run) into
-// the spill file through the store's encode buffer.
+// the spill file through the store's encode buffer. It is the Writer
+// an intermediate merge pass drains into.
 type segmentWriter struct {
 	st    *runStore
 	off   int64
@@ -120,8 +122,8 @@ func (st *runStore) beginSegment() (*segmentWriter, error) {
 	return &segmentWriter{st: st, off: st.fileEnd}, nil
 }
 
-// write appends keys to the segment.
-func (w *segmentWriter) write(keys []Key) error {
+// Write implements Writer: it appends keys to the segment.
+func (w *segmentWriter) Write(keys []Key) error {
 	st := w.st
 	for len(keys) > 0 {
 		space := spillBufKeys - w.fill
@@ -175,13 +177,6 @@ func (w *segmentWriter) finish() (runHandle, error) {
 	return runHandle{off: w.off, count: w.count}, nil
 }
 
-// release returns a consumed handle's residency to the budget.
-func (st *runStore) release(h runHandle) {
-	if h.mem != nil {
-		st.resident -= len(h.mem)
-	}
-}
-
 // close releases the spill file (and with it, by the unlink above, the
 // disk space). Safe to call when nothing ever spilled, and idempotent.
 func (st *runStore) close() {
@@ -191,93 +186,60 @@ func (st *runStore) close() {
 	}
 }
 
-// stream opens a cursor over one run.
-func (st *runStore) stream(h runHandle) keyStream {
+// cursor is a pull cursor over one sorted run, one block at a time. A
+// resident run is a single block; a spill segment refills its block
+// with a positional read, so cursors over one file never disturb each
+// other. The merge is single-goroutine, so every cursor decodes
+// through the store's one read buffer.
+type cursor struct {
+	block     []Key
+	pos       int
+	st        *runStore // nil for a resident run
+	off       int64     // next unread byte of the segment
+	remaining int       // segment keys not yet in block
+	err       error     // the first read error
+}
+
+// cursor opens a cursor over one run.
+func (st *runStore) cursor(h runHandle) cursor {
 	if h.mem != nil {
-		return &memStream{keys: h.mem}
+		return cursor{block: h.mem}
 	}
-	return &spillStream{
-		file:      st.file,
-		off:       h.off,
-		remaining: h.count,
-		buf:       make([]Key, 0, spillBufKeys),
-		raw:       make([]byte, spillBufKeys*keyBytes),
+	if st.rbuf == nil {
+		st.rbuf = make([]byte, spillBufKeys*keyBytes)
 	}
+	return cursor{block: make([]Key, 0, spillBufKeys), st: st, off: h.off, remaining: h.count}
 }
 
-// keyStream is a pull cursor over one sorted run.
-type keyStream interface {
-	// next returns the stream's head and advances; ok=false at the end
-	// — or on a read error, which fail() then reports, so an exhausted
-	// stream is never conflated with a failed one.
-	next() (Key, bool)
-	// fail returns the first read error, nil on a clean stream.
-	fail() error
-}
-
-// memStream cursors a resident run.
-type memStream struct {
-	keys []Key
-	pos  int
-}
-
-func (s *memStream) next() (Key, bool) {
-	if s.pos == len(s.keys) {
+// next returns the cursor's head and advances; ok=false at the end of
+// the run or on a read error, which err then holds, so an exhausted
+// run is never conflated with a failed one.
+func (c *cursor) next() (Key, bool) {
+	if c.pos == len(c.block) && !c.refill() {
 		return 0, false
 	}
-	k := s.keys[s.pos]
-	s.pos++
-	return k, true
-}
-
-func (s *memStream) fail() error { return nil }
-
-// spillStream cursors a spill segment through a positional read buffer;
-// multiple spill streams share the file descriptor safely because every
-// read is an offset ReadAt.
-type spillStream struct {
-	file      *os.File
-	off       int64
-	remaining int
-	buf       []Key
-	raw       []byte
-	pos       int
-	err       error
-}
-
-func (s *spillStream) fail() error { return s.err }
-
-func (s *spillStream) next() (Key, bool) {
-	if s.pos == len(s.buf) {
-		if !s.refill() {
-			return 0, false
-		}
-	}
-	k := s.buf[s.pos]
-	s.pos++
+	k := c.block[c.pos]
+	c.pos++
 	return k, true
 }
 
 // refill reads the next block of the segment.
-func (s *spillStream) refill() bool {
-	if s.remaining == 0 || s.err != nil {
+func (c *cursor) refill() bool {
+	if c.remaining == 0 || c.err != nil {
 		return false
 	}
-	n := spillBufKeys
-	if n > s.remaining {
-		n = s.remaining
-	}
-	raw := s.raw[:n*keyBytes]
-	if _, err := s.file.ReadAt(raw, s.off); err != nil {
-		s.err = fmt.Errorf("extsort: spill read: %w", err)
+	n := min(spillBufKeys, c.remaining)
+	raw := c.st.rbuf[:n*keyBytes]
+	if _, err := c.st.file.ReadAt(raw, c.off); err != nil {
+		c.err = fmt.Errorf("extsort: spill read: %w", err)
 		return false
 	}
-	s.buf = s.buf[:n]
-	for i := range s.buf {
-		s.buf[i] = Key(binary.LittleEndian.Uint64(raw[i*keyBytes:]))
+	c.block = c.block[:n]
+	for i := range c.block {
+		c.block[i] = Key(binary.LittleEndian.Uint64(raw[i*keyBytes:]))
 	}
-	s.off += int64(n * keyBytes)
-	s.remaining -= n
-	s.pos = 0
+	c.off += int64(n * keyBytes)
+	c.remaining -= n
+	c.pos = 0
 	return true
 }

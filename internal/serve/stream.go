@@ -1,15 +1,16 @@
 // The large-request lane: SubmitStream sorts key streams of unbounded
 // length through the server's own admission, batching and plan
 // machinery. The stream is chunked into runs no larger than the
-// biggest serving network; each run rides the normal Submit path —
-// the planner maps it to the cheapest covering certified network, it
-// batches with whatever other traffic shares that bucket, and the
-// columnar replay sorts it — and the extsort tier k-way merges the
-// sorted runs. Where a oversized Submit would shed with ErrTooLarge,
-// SubmitStream degrades gracefully: any input length is admitted, one
-// run at a time, and bucket overload is absorbed by backing off and
-// resubmitting the run instead of surfacing ErrQueueFull to the
-// caller.
+// biggest serving network, 16 runs in flight at a time; each run rides
+// the normal Submit path — the planner maps it to the cheapest
+// covering certified network, it batches with whatever other traffic
+// shares that bucket, and the columnar replay sorts it — and the
+// extsort tier k-way merges the sorted runs, at a fan-in it derives
+// from the run count and the memory budget. Where an oversized Submit
+// would shed with ErrTooLarge, SubmitStream degrades gracefully: any
+// input length is admitted, one run at a time, and bucket overload is
+// absorbed by backing off and resubmitting the run instead of
+// surfacing ErrQueueFull to the caller.
 
 package serve
 
@@ -23,27 +24,6 @@ import (
 	"productsort/internal/obs"
 )
 
-// StreamConfig parametrizes SubmitStream. The zero value selects
-// defaults sized to the server's planner.
-type StreamConfig struct {
-	// RunSize is the keys per run (default min(1024, MaxKeys); must
-	// not exceed MaxKeys — runs are single requests).
-	RunSize int
-	// FanIn bounds the merge fan-in (default 16).
-	FanIn int
-	// RunBatch is how many runs are in flight through the server at
-	// once (default 16): the window the server's own size-bucket
-	// batching coalesces into shared flushes.
-	RunBatch int
-	// MemoryKeys bounds resident sorted keys; runs beyond it spill
-	// (default 1<<21).
-	MemoryKeys int
-	// SpillDir hosts the spill file (default os.TempDir()).
-	SpillDir string
-	// VerifyRuns re-checks every run's sortedness before the merge.
-	VerifyRuns bool
-}
-
 // streamRetryFloor/Cap bound the queue-full backoff: resubmission
 // starts fast (the bucket may drain in microseconds) and decays to a
 // gentle poll so a saturated server sees run-at-a-time pressure, not a
@@ -56,11 +36,12 @@ const (
 // SubmitStream drains src, sorts it through the serving path, and
 // writes the fully sorted stream to dst. Unlike Submit it never sheds:
 // requests larger than any serving network become multiple runs, and
-// ErrQueueFull inside the run lane becomes backoff-and-resubmit. It
-// returns the extsort accounting (runs, merge passes, spill traffic) or
-// the first hard error (context, source, sink, server closed, compile
-// failure).
-func (s *Server) SubmitStream(ctx context.Context, src extsort.Reader, dst extsort.Writer, cfg StreamConfig) (*extsort.Stats, error) {
+// ErrQueueFull inside the run lane becomes backoff-and-resubmit. The
+// extsort.* instruments land in the server's registry (cfg.Metrics is
+// overwritten). It returns the extsort accounting (runs, merge passes,
+// spill traffic) or the first hard error (context, source, sink,
+// server closed, compile failure).
+func (s *Server) SubmitStream(ctx context.Context, src extsort.Reader, dst extsort.Writer, cfg extsort.Config) (*extsort.Stats, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -69,15 +50,8 @@ func (s *Server) SubmitStream(ctx context.Context, src extsort.Reader, dst extso
 		retries: s.met.Counter("serve.stream.queue_retries"),
 	}
 	s.met.Counter("serve.stream.submitted").Inc()
-	return extsort.Sort(ctx, src, dst, sorter, extsort.Config{
-		RunSize:    cfg.RunSize,
-		FanIn:      cfg.FanIn,
-		RunBatch:   cfg.RunBatch,
-		MemoryKeys: cfg.MemoryKeys,
-		SpillDir:   cfg.SpillDir,
-		VerifyRuns: cfg.VerifyRuns,
-		Metrics:    s.met,
-	})
+	cfg.Metrics = s.met
+	return extsort.Sort(ctx, src, dst, sorter, cfg)
 }
 
 // streamRunSorter sorts runs by submitting each as a normal request:

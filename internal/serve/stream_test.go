@@ -49,9 +49,14 @@ func TestSubmitStreamSortsBeyondMaxKeys(t *testing.T) {
 		keys[i] = Key(rng.Int63() - 1<<62)
 	}
 	out := extsort.NewSliceWriter()
-	stats, err := s.SubmitStream(context.Background(), extsort.NewSliceReader(keys), out, StreamConfig{FanIn: 8})
+	// A binary-merge budget: the runs merge in several passes.
+	cfg := extsort.Config{MemoryKeys: 1, SpillDir: t.TempDir()}
+	stats, err := s.SubmitStream(context.Background(), extsort.NewSliceReader(keys), out, cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if stats.MergePasses < 2 {
+		t.Fatalf("MergePasses = %d over %d runs, want several under a binary-merge budget", stats.MergePasses, stats.Runs)
 	}
 	if stats.RunSize > s.MaxKeys() {
 		t.Fatalf("run size %d exceeds MaxKeys %d", stats.RunSize, s.MaxKeys())
@@ -80,9 +85,8 @@ func TestSubmitStreamBacksOffInsteadOfShedding(t *testing.T) {
 		keys[i] = Key(rng.Int63())
 	}
 	out := extsort.NewSliceWriter()
-	stats, err := s.SubmitStream(context.Background(), extsort.NewSliceReader(keys), out, StreamConfig{
-		RunBatch: 8, // 8 concurrent runs against a depth-1 bucket: guaranteed contention
-	})
+	// 16 concurrent runs against a depth-1 bucket: guaranteed contention.
+	stats, err := s.SubmitStream(context.Background(), extsort.NewSliceReader(keys), out, extsort.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,19 +106,6 @@ func TestSubmitStreamBacksOffInsteadOfShedding(t *testing.T) {
 	}
 }
 
-// TestSubmitStreamRunSizeTooLarge: a run size beyond the largest
-// serving network is a config error, typed and immediate.
-func TestSubmitStreamRunSizeTooLarge(t *testing.T) {
-	s := streamServer(t, 16)
-	_, err := s.SubmitStream(context.Background(),
-		extsort.NewSliceReader([]Key{1, 2}), extsort.NewSliceWriter(),
-		StreamConfig{RunSize: s.MaxKeys() + 1})
-	var ce *extsort.ConfigError
-	if !errors.As(err, &ce) {
-		t.Fatalf("err = %v, want *extsort.ConfigError", err)
-	}
-}
-
 // TestSubmitStreamClosedServer: a sealed server fails the stream with
 // the typed closed error rather than hanging the retry loop.
 func TestSubmitStreamClosedServer(t *testing.T) {
@@ -124,7 +115,7 @@ func TestSubmitStreamClosedServer(t *testing.T) {
 	}
 	keys := make([]Key, 100)
 	_, err := s.SubmitStream(context.Background(),
-		extsort.NewSliceReader(keys), extsort.NewSliceWriter(), StreamConfig{})
+		extsort.NewSliceReader(keys), extsort.NewSliceWriter(), extsort.Config{})
 	if !errors.Is(err, ErrClosed) {
 		t.Fatalf("err = %v, want ErrClosed", err)
 	}

@@ -15,7 +15,6 @@ import (
 	"context"
 
 	"productsort/internal/extsort"
-	"productsort/internal/serve"
 )
 
 // KeyReader is the streaming sort's source: io.Reader semantics over
@@ -41,19 +40,16 @@ func NewKeysReader(keys []Key) KeyReader { return extsort.NewSliceReader(keys) }
 func NewKeysWriter() *extsort.SliceWriter { return extsort.NewSliceWriter() }
 
 // StreamConfig parametrizes SortStream and Server.SubmitStream. The
-// zero value of every field selects a sensible default.
+// zero value of every field selects a sensible default. The run size
+// is min(1024, the run sorter's ceiling — the network's node count for
+// SortStream, the largest serving network for SubmitStream), and the
+// merge fan-in is derived from the run count and MemoryKeys: one pass
+// while every run's read buffer fits the budget, at most two passes up
+// to that width squared.
 type StreamConfig struct {
-	// RunSize is the key count per run (default min(1024, the run
-	// sorter's ceiling — the network's node count for SortStream, the
-	// largest serving network for SubmitStream)).
-	RunSize int
-	// FanIn bounds the k-way merge's fan-in (default 16, min 2).
-	FanIn int
-	// RunBatch is how many runs sort together per batch replay (or, on
-	// the serve path, how many are in flight at once; default 16).
-	RunBatch int
 	// MemoryKeys bounds resident sorted keys; runs beyond it spill to
-	// disk (default 1<<21 keys = 16 MiB).
+	// disk (default 1<<21 keys = 16 MiB, at least a binary merge's
+	// buffers). It also bounds the merge fan-in: 511 at the default.
 	MemoryKeys int
 	// SpillDir hosts the (immediately unlinked) spill file (default
 	// os.TempDir()).
@@ -64,22 +60,20 @@ type StreamConfig struct {
 	VerifyRuns bool
 }
 
+// extsortConfig is the one conversion both entry points share.
+func (cfg StreamConfig) extsortConfig() extsort.Config {
+	return extsort.Config{MemoryKeys: cfg.MemoryKeys, SpillDir: cfg.SpillDir, VerifyRuns: cfg.VerifyRuns}
+}
+
 // SortStream sorts the key stream src into dst through this compiled
-// network: runs of up to RunSize keys (at most the network's node
-// count) are sorted by the network's certified batch replay and merged
-// with a loser-tree k-way merge. Cancellable via ctx between stages;
+// network: runs of up to 1024 keys (at most the network's node count)
+// are sorted by the network's certified batch replay and merged with a
+// loser-tree k-way merge. Cancellable via ctx between stages;
 // on error dst may hold a sorted prefix. Safe for concurrent use —
 // each call owns its run and merge state.
 func (c *CompiledNetwork) SortStream(ctx context.Context, src KeyReader, dst KeyWriter, cfg StreamConfig) (*StreamStats, error) {
 	sorter := extsort.NewNetworkSorter(c.prog, 0)
-	return extsort.Sort(ctx, src, dst, sorter, extsort.Config{
-		RunSize:    cfg.RunSize,
-		FanIn:      cfg.FanIn,
-		RunBatch:   cfg.RunBatch,
-		MemoryKeys: cfg.MemoryKeys,
-		SpillDir:   cfg.SpillDir,
-		VerifyRuns: cfg.VerifyRuns,
-	})
+	return extsort.Sort(ctx, src, dst, sorter, cfg.extsortConfig())
 }
 
 // SortStreamKeys is the in-memory convenience: sort keys of any length
@@ -103,12 +97,5 @@ func (c *CompiledNetwork) SortStreamKeys(ctx context.Context, keys []Key, cfg St
 // queue-full inside the lane becomes backoff-and-resubmit. The
 // extsort.* instruments land in the server's metrics registry.
 func (s *Server) SubmitStream(ctx context.Context, src KeyReader, dst KeyWriter, cfg StreamConfig) (*StreamStats, error) {
-	return s.s.SubmitStream(ctx, src, dst, serve.StreamConfig{
-		RunSize:    cfg.RunSize,
-		FanIn:      cfg.FanIn,
-		RunBatch:   cfg.RunBatch,
-		MemoryKeys: cfg.MemoryKeys,
-		SpillDir:   cfg.SpillDir,
-		VerifyRuns: cfg.VerifyRuns,
-	})
+	return s.s.SubmitStream(ctx, src, dst, cfg.extsortConfig())
 }

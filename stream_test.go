@@ -69,8 +69,7 @@ func TestSortStreamSpillAtRoot(t *testing.T) {
 		keys[i] = Key(rng.Int63())
 	}
 	got, stats, err := c.SortStreamKeys(context.Background(), keys, StreamConfig{
-		FanIn:      4,
-		MemoryKeys: 1, // clamped to the merge floor; everything past it spills
+		MemoryKeys: 1, // clamped to a binary merge's buffers; everything past it spills
 		SpillDir:   t.TempDir(),
 	})
 	if err != nil {
@@ -98,7 +97,9 @@ type resilientRunSorter struct {
 	runs int
 }
 
-func (rs *resilientRunSorter) MaxRun() int { return rs.c.Network().Nodes() }
+// MaxRun makes 24-key runs, ragged against the 32-node network:
+// padding and faults together.
+func (rs *resilientRunSorter) MaxRun() int { return 24 }
 
 func (rs *resilientRunSorter) SortRuns(ctx context.Context, runs [][]Key) error {
 	nodes := rs.c.Network().Nodes()
@@ -156,8 +157,8 @@ func TestSortStreamChaosRunFormation(t *testing.T) {
 	}
 	out := extsort.NewSliceWriter()
 	stats, err := extsort.Sort(context.Background(), extsort.NewSliceReader(keys), out, sorter, extsort.Config{
-		RunSize:    24, // ragged against the 32-node network: padding + faults together
-		FanIn:      4,
+		MemoryKeys: 1, // a binary merge: many passes over the healed runs
+		SpillDir:   t.TempDir(),
 		VerifyRuns: true,
 	})
 	if err != nil {
@@ -206,7 +207,9 @@ func TestServerSubmitStreamRoot(t *testing.T) {
 		t.Fatal("SubmitStream output unsorted")
 	}
 	snap := srv.Metrics().Snapshot()
-	if snap.Counters["extsort.runs"] == 0 {
-		t.Fatal("extsort.runs counter missing from the server registry")
+	for _, name := range []string{"extsort.runs", "extsort.merge.passes"} {
+		if snap.Counters[name] == 0 {
+			t.Fatalf("%s counter missing from the server registry", name)
+		}
 	}
 }
