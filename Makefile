@@ -20,7 +20,7 @@ GOVULNCHECK_VERSION ?= v1.1.4
 COVER_FLOOR ?= 80.0
 
 .PHONY: ci vet build test test-shuffle race fmtcheck fmt lint lint-tools cover \
-	bce bench-schedule chaos fuzz cert serve-soak bench-serve contend store-stress \
+	bce bench-schedule chaos fuzz cert serve-soak serve-determinism bench-serve contend store-stress \
 	determinism extsort-battery extsort-fuzz bench-extsort
 
 ci: vet build test race fmtcheck lint cover bce
@@ -143,8 +143,16 @@ cert:
 serve-soak:
 	SOAK_MS=3000 $(GO) test -race -run TestServerSoak -count=1 ./internal/serve/
 
+# Serving determinism: the server and stream-lane tests hold their
+# workers busy explicitly instead of relying on timing, so they must
+# pass every time at any GOMAXPROCS; 20 race-enabled runs at 1, 2 and
+# 4 keep them from drifting back to depending on scheduling.
+serve-determinism:
+	$(GO) test -race -count=20 -cpu=1,2,4 -run 'TestServer|TestSubmitStream' ./internal/serve/
+
 # Serving saturation curve: open-loop offered load against the server;
-# prints the throughput/latency table and writes BENCH_serve.json.
+# prints the throughput/latency table and writes BENCH_serve.json, then
+# fails if any level shed a request or the 2,000 req/s p50 exceeds 0.5 ms.
 bench-serve:
 	$(GO) run ./cmd/bench -serve
 

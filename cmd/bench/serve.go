@@ -5,7 +5,9 @@
 // sizes, submits asynchronously, and measures per-request latency from
 // the server's own Wait stamps. The output table and BENCH_serve.json
 // report throughput, shed counts and p50/p95/p99 latency versus offered
-// load — the saturation curve a capacity plan reads off.
+// load — the saturation curve a capacity plan reads off. After writing
+// the report the run fails if any level shed a request, or if the
+// light level's p50 shows requests waiting for a worker that was idle.
 
 package main
 
@@ -37,8 +39,17 @@ type serveLevel struct {
 	Elapsed          string  `json:"elapsed"`
 }
 
+// serveGateLoad and serveGateP50Ms gate the light end of the curve: at
+// 2,000 req/s the workers are mostly idle, and an idle worker takes a
+// request as soon as it arrives, so the median wait is the sort itself.
+const (
+	serveGateLoad  = 2000
+	serveGateP50Ms = 0.5
+)
+
 // serveReport is the BENCH_serve.json schema.
 type serveReport struct {
+	Host     benchHost    `json:"host"`
 	MaxKeys  int          `json:"max_keys"`
 	SizeMin  int          `json:"size_min"`
 	SizeMax  int          `json:"size_max"`
@@ -79,6 +90,7 @@ func runServeBench(outPath, loadsCSV string, dur time.Duration, sizeMax int, see
 	}
 	const zipfS = 1.2
 	report := serveReport{
+		Host:     hostInfo(),
 		SizeMin:  1,
 		SizeMax:  sizeMax,
 		ZipfS:    zipfS,
@@ -191,5 +203,23 @@ func runServeBench(outPath, loadsCSV string, dur time.Duration, sizeMax int, see
 		return err
 	}
 	fmt.Printf("wrote %s\n", outPath)
+	return serveGate(report.Levels)
+}
+
+// serveGate fails a curve on which any level shed a request, or whose
+// serveGateLoad level has a p50 above serveGateP50Ms.
+func serveGate(levels []serveLevel) error {
+	var fails []string
+	for _, lv := range levels {
+		if lv.Shed > 0 {
+			fails = append(fails, fmt.Sprintf("%.0f req/s shed %d of %d requests", lv.OfferedPerSec, lv.Shed, lv.Requests))
+		}
+		if lv.OfferedPerSec == serveGateLoad && lv.P50Ms > serveGateP50Ms {
+			fails = append(fails, fmt.Sprintf("%.0f req/s p50 %.3f ms exceeds %.1f ms", lv.OfferedPerSec, lv.P50Ms, serveGateP50Ms))
+		}
+	}
+	if len(fails) > 0 {
+		return fmt.Errorf("serve bench: %s", strings.Join(fails, "; "))
+	}
 	return nil
 }

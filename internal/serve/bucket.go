@@ -1,5 +1,7 @@
 // Buckets: per-plan dynamic batching with bounded occupancy.
 //
+// A bucket batches only while every worker is busy (see loop).
+//
 // Occupancy is one atomic counter per bucket, and the bucket does not
 // hold its compiled program: each flush acquires the program from the
 // plan store, so eviction stays honest even for a plan with a
@@ -8,6 +10,7 @@
 package serve
 
 import (
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -32,6 +35,7 @@ type bucket struct {
 	queue       chan *request
 	outstanding atomic.Int64 // admitted minus replied; bounded by QueueDepth
 	cols        *schedule.ColumnBuffer
+	jobs        sync.Pool // recycled *flushJob
 
 	occupancy *obs.Gauge
 	latency   *obs.Histogram
@@ -46,7 +50,7 @@ type bucket struct {
 // (serve.bucket.<network>.*).
 func newBucket(s *Server, plan *Plan) *bucket {
 	prefix := "serve.bucket." + plan.Name()
-	return &bucket{
+	b := &bucket{
 		srv:  s,
 		plan: plan,
 		// outstanding <= QueueDepth bounds queue occupancy too, so the
@@ -61,6 +65,10 @@ func newBucket(s *Server, plan *Plan) *bucket {
 		shed:      s.met.Counter(prefix + ".shed"),
 		familyC:   s.met.Counter("serve.planner.family." + plan.Family),
 	}
+	b.jobs.New = func() any {
+		return &flushJob{b: b, batch: make([]*request, 0, s.cfg.MaxBatch)}
+	}
+	return b
 }
 
 // reserve claims one occupancy slot and reports whether it got one.
@@ -103,87 +111,94 @@ func (b *bucket) admit(req *request) error {
 	}
 }
 
-// loop is the bucket's batching goroutine: accumulate until MaxBatch or
-// MaxLinger after the first pending request, then hand the batch to a
-// flush. On drain it sweeps the sealed queue and flushes the remainder,
-// repeating until occupancy reads zero — no admitted request,
-// however racy its enqueue, is left behind — then exits.
+// loop is the bucket's batching goroutine. It hands its pending batch
+// to a worker the moment one is idle: the send on the unbuffered work
+// channel is enabled whenever the batch is non-empty and completes only
+// when a worker receives it. A lone request on an idle server therefore
+// flushes at once, and requests accumulate, up to MaxBatch, only while
+// every worker is busy; at MaxBatch the loop stops receiving and the
+// backlog waits in the admission queue, which QueueDepth bounds. On
+// drain it sweeps the sealed queue with blocking sends, repeating until
+// occupancy reads zero — no admitted request, however racy its enqueue,
+// is left behind — then exits.
 func (b *bucket) loop() {
-	defer b.srv.wg.Done()
+	defer b.srv.loops.Done()
 	maxBatch := b.srv.cfg.MaxBatch
-	pending := make([]*request, 0, maxBatch)
-	timer := time.NewTimer(time.Hour)
-	if !timer.Stop() {
-		<-timer.C
-	}
-	timerLive := false
-	stopTimer := func() {
-		if timerLive {
-			if !timer.Stop() {
-				<-timer.C
-			}
-			timerLive = false
-		}
-	}
-	flush := func() {
-		stopTimer()
-		if len(pending) == 0 {
-			return
-		}
-		batch := pending
-		pending = make([]*request, 0, maxBatch)
-		b.startFlush(batch)
-	}
+	job := b.newJob()
 	for {
+		queue, work := b.queue, b.srv.work
+		if len(job.batch) == maxBatch {
+			queue = nil
+		}
+		if len(job.batch) == 0 {
+			work = nil
+		}
 		select {
-		case req := <-b.queue:
-			pending = append(pending, req)
-			if len(pending) >= maxBatch {
-				flush()
-			} else if !timerLive {
-				timer.Reset(b.srv.cfg.MaxLinger)
-				timerLive = true
-			}
-		case <-timer.C:
-			timerLive = false
-			flush()
+		case req := <-queue:
+			job.batch = b.fill(append(job.batch, req))
+		case work <- job:
+			job = b.newJob()
 		case <-b.srv.drain:
-			for {
-				swept := false
-				for !swept {
-					select {
-					case req := <-b.queue:
-						pending = append(pending, req)
-						if len(pending) >= maxBatch {
-							flush()
-						}
-					default:
-						swept = true
-					}
-				}
-				flush()
-				// Zero occupancy means every admitted request has been
-				// replied — none is latent between its reservation and
-				// its enqueue, none is queued, none is mid-flush.
-				if b.outstanding.Load() == 0 && len(b.queue) == 0 {
-					b.occupancy.Set(0)
-					return
-				}
-				time.Sleep(drainPoll)
-			}
+			b.sweep(job)
+			return
 		}
 	}
 }
 
-// startFlush runs one batch on the server's bounded worker pool.
-func (b *bucket) startFlush(batch []*request) {
-	b.srv.wg.Add(1)
-	go func() {
-		defer b.srv.wg.Done()
-		b.srv.sem <- struct{}{}
-		defer func() { <-b.srv.sem }()
-		b.runFlush(batch)
-	}()
+// fill appends whatever is already queued, without blocking, up to
+// MaxBatch.
+func (b *bucket) fill(batch []*request) []*request {
+	for len(batch) < b.srv.cfg.MaxBatch {
+		select {
+		case req := <-b.queue:
+			batch = append(batch, req)
+		default:
+			return batch
+		}
+	}
+	return batch
+}
+
+// sweep is the drain: flush everything queued, waiting for a worker
+// each time, until occupancy reads zero.
+func (b *bucket) sweep(job *flushJob) {
+	for {
+		for {
+			if job.batch = b.fill(job.batch); len(job.batch) == 0 {
+				break
+			}
+			b.srv.work <- job
+			job = b.newJob()
+		}
+		// Zero occupancy means every admitted request has been
+		// replied — none is latent between its reservation and its
+		// enqueue, none is queued, none is mid-flush.
+		if b.outstanding.Load() == 0 && len(b.queue) == 0 {
+			b.occupancy.Set(0)
+			return
+		}
+		time.Sleep(drainPoll)
+	}
+}
+
+// newJob takes a recycled flush job, its batch empty.
+func (b *bucket) newJob() *flushJob { return b.jobs.Get().(*flushJob) }
+
+// flushJob is one batch on its way to a worker. Jobs are recycled
+// through their bucket's pool, so a warm flush allocates nothing.
+type flushJob struct {
+	b     *bucket
+	batch []*request
+	items [][]Key // the batch's key slices, as the columnar replay takes them
+}
+
+// run flushes the job's batch, then clears and recycles the job.
+func (j *flushJob) run() {
+	j.b.runFlush(j)
+	clear(j.batch)
+	clear(j.items)
+	j.batch, j.items = j.batch[:0], j.items[:0]
+	j.b.jobs.Put(j)
 }
 
 // runFlush binds the batch and sorts it. A context canceled or expired
@@ -191,9 +206,9 @@ func (b *bucket) startFlush(batch []*request) {
 // bound, a request rides the flush to completion — a mid-flush
 // cancellation neither aborts the sort nor poisons batchmates. The
 // compiled program is acquired from the plan store for each flush.
-func (b *bucket) runFlush(batch []*request) {
-	live := batch[:0]
-	for _, req := range batch {
+func (b *bucket) runFlush(j *flushJob) {
+	live := j.batch[:0]
+	for _, req := range j.batch {
 		if err := req.ctx.Err(); err != nil {
 			b.reply(req, Reply{Err: err, Network: b.plan.Name(), Family: b.plan.Family})
 			continue
@@ -213,14 +228,13 @@ func (b *bucket) runFlush(batch []*request) {
 		}
 		return
 	}
-	items := make([][]Key, len(live))
-	for i, req := range live {
-		items[i] = req.keys
+	for _, req := range live {
+		j.items = append(j.items, req.keys)
 	}
 	// Columnar replay: the flush transposes into per-position columns
 	// (width = live batch size) and walks the program once for the whole
 	// batch; pooled slabs keep the warm path allocation-free per item.
-	err = schedule.RunBatchColumnar(prog, items, 1, b.cols)
+	err = schedule.RunBatchColumnar(prog, j.items, 1, b.cols)
 	b.flushes.Inc()
 	b.familyC.Inc()
 	b.batchSize.Observe(int64(len(live)))

@@ -1,5 +1,5 @@
 // Drain-under-chaos regression: Close racing an in-flight flush must
-// neither deadlock nor leak the flush worker's semaphore slot.
+// neither deadlock nor leave a worker behind.
 
 package serve
 
@@ -11,31 +11,18 @@ import (
 )
 
 // TestServerCloseDuringBlockedFlush pins the drain contract at its
-// worst moment: a flush has bound its batch and acquired a worker
-// slot, then wedges (the flushGate stands in for a slow or retrying
-// sort). A deadline-bounded Close must return ctx.Err() instead of
-// deadlocking; once the flush unwedges, the drain completes, the
-// bound request still gets its sorted reply, the semaphore slot is
-// returned, and later submissions are refused with ErrClosed.
+// worst moment: a flush has bound its batch on the only worker, then
+// wedges (the flushGate stands in for a slow or retrying sort). A
+// deadline-bounded Close must return ctx.Err() instead of deadlocking;
+// once the flush unwedges, the drain completes, the bound request
+// still gets its sorted reply, every worker exits, and later
+// submissions are refused with ErrClosed.
 func TestServerCloseDuringBlockedFlush(t *testing.T) {
-	s := testServer(t, Config{MaxBatch: 1, MaxLinger: time.Minute, Workers: 1})
+	s := testServer(t, Config{MaxBatch: 1, Workers: 1})
 	gate := make(chan struct{})
 	s.flushGate = gate
-
 	in := randKeys(5, 1)
-	ch, err := s.Submit(context.Background(), in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Wait until the flush holds its worker slot; it is then wedged
-	// between binding the batch and sorting it.
-	deadline := time.Now().Add(10 * time.Second)
-	for len(s.sem) == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("flush never acquired a worker slot")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	ch := wedge(t, s, gate, in)
 
 	// Close with a deadline while the flush is wedged: the drain cannot
 	// finish, so Close must give up with ctx.Err — not deadlock.
@@ -64,8 +51,14 @@ func TestServerCloseDuringBlockedFlush(t *testing.T) {
 	if err := s.Close(ctx2); err != nil {
 		t.Fatalf("Close after unwedge: %v", err)
 	}
-	// All worker slots returned: no leaked semaphore capacity.
-	if got := len(s.sem); got != 0 {
-		t.Fatalf("%d semaphore slots leaked", got)
+	// Close returns only once every worker has exited, after the work
+	// channel closed behind the last bucket loop.
+	select {
+	case job, ok := <-s.work:
+		if ok {
+			t.Fatalf("work channel still delivering after Close: %+v", job)
+		}
+	default:
+		t.Fatal("work channel still open after Close")
 	}
 }

@@ -3,11 +3,12 @@
 // covering network (candidates ranked by Theorem 1's predicted round
 // count), a plan store holds the compiled programs (an immutable
 // snapshot map read lock-free; the GC frees evicted programs), and
-// size-bucketed dynamic batching accumulates admitted requests per plan
-// until MaxBatch or MaxLinger, then flushes them through the columnar
-// batch replay (schedule.RunBatchColumnar: one program walk per flush,
-// every set advancing through each comparator together) on a bounded
-// worker pool. This is Schiller's
+// size-bucketed dynamic batching hands each plan's pending requests to
+// the first idle worker of a fixed pool, so requests accumulate (up to
+// MaxBatch) only while every worker is busy, and flushes them through
+// the columnar batch replay (schedule.RunBatchColumnar: one program
+// walk per flush, every set advancing through each comparator
+// together). This is Schiller's
 // agglomeration argument — merge many independent sorting-network
 // invocations into one larger network execution — applied to the
 // arrival-driven, multi-tenant setting: requests of heterogeneous sizes

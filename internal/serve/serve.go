@@ -1,5 +1,10 @@
 // The server: admission control, bucket dispatch, graceful drain.
 //
+// Flushes run on Workers long-lived goroutines that take jobs from one
+// unbuffered channel. Each bucket loop offers its pending batch there
+// whenever the batch is non-empty, so a request waits only while every
+// worker is busy, and batches widen exactly as far as the load forces.
+//
 // The submit path is lock-free end to end: the planner lookup is a
 // binary search over immutable plans, the bucket table is a dense
 // immutable slice indexed by plan (buckets and their loops are built
@@ -13,7 +18,8 @@
 // that observed closed=false has its reservation visible to every
 // later read (sequentially consistent atomics), so the sweep cannot
 // conclude while an admitted request has yet to enqueue — every
-// admitted request is drained.
+// admitted request is drained. The work channel closes only after
+// every bucket loop has exited, and the workers exit with it.
 
 package serve
 
@@ -67,8 +73,8 @@ type Reply struct {
 	Family string
 	// BatchSize is the number of requests that shared the flush.
 	BatchSize int
-	// Wait is submit-to-reply wall time: queueing, lingering and the
-	// sort itself.
+	// Wait is submit-to-reply wall time: queueing while every worker
+	// is busy, and the sort itself.
 	Wait time.Duration
 }
 
@@ -77,18 +83,16 @@ type Reply struct {
 type Config struct {
 	// Planner maps request sizes to covering plans. Required.
 	Planner *Planner
-	// MaxBatch flushes a bucket when this many requests have
-	// accumulated (default 64).
+	// MaxBatch caps the requests one flush carries (default 64). A
+	// bucket's pending batch goes to the first idle worker, so it only
+	// grows while every worker is busy; at MaxBatch the backlog waits
+	// in the admission queue.
 	MaxBatch int
-	// MaxLinger flushes a non-empty bucket this long after its first
-	// pending request arrived, bounding the latency cost of batching
-	// (default 2ms).
-	MaxLinger time.Duration
 	// QueueDepth bounds each bucket's admitted-but-unreplied requests;
 	// submissions beyond it shed with ErrQueueFull (default 1024).
 	QueueDepth int
-	// Workers bounds concurrently running flushes across all buckets
-	// (default GOMAXPROCS).
+	// Workers is the number of flush goroutines shared by all buckets,
+	// and so bounds concurrently running flushes (default GOMAXPROCS).
 	Workers int
 	// PlanCacheSize bounds resident compiled programs in the plan
 	// store; an evicted program is recompiled on its next use
@@ -118,9 +122,11 @@ type Server struct {
 	submitted *obs.Counter
 	shed      *obs.Counter
 
-	sem   chan struct{} // flush worker slots
-	drain chan struct{} // closed once, after admission is sealed
-	wg    sync.WaitGroup
+	work    chan *flushJob // unbuffered: a send completes only when a worker is idle
+	drain   chan struct{}  // closed once, after admission is sealed
+	done    chan struct{}  // closed once every bucket loop and worker has exited
+	loops   sync.WaitGroup
+	workers sync.WaitGroup
 
 	closed  atomic.Bool
 	buckets []*bucket // dense, indexed by Plan.idx; immutable after New
@@ -132,17 +138,15 @@ type Server struct {
 }
 
 // New builds a Server from cfg. The planner is required; everything
-// else defaults. Every plan's bucket and batching loop starts here, so
-// the submit path never creates state — it only indexes.
+// else defaults. Every plan's bucket and batching loop, and every
+// flush worker, starts here, so the submit path never creates state —
+// it only indexes.
 func New(cfg Config) (*Server, error) {
 	if cfg.Planner == nil {
 		return nil, errors.New("serve: config needs a planner")
 	}
 	if cfg.MaxBatch < 1 {
 		cfg.MaxBatch = 64
-	}
-	if cfg.MaxLinger <= 0 {
-		cfg.MaxLinger = 2 * time.Millisecond
 	}
 	if cfg.QueueDepth < 1 {
 		cfg.QueueDepth = 1024
@@ -164,19 +168,32 @@ func New(cfg Config) (*Server, error) {
 		met:       met,
 		submitted: met.Counter("serve.submitted"),
 		shed:      met.Counter("serve.shed"),
-		sem:       make(chan struct{}, cfg.Workers),
+		work:      make(chan *flushJob),
 		drain:     make(chan struct{}),
+		done:      make(chan struct{}),
 	}
 	plans := cfg.Planner.Plans()
 	s.buckets = make([]*bucket, len(plans))
 	for i, plan := range plans {
 		s.buckets[i] = newBucket(s, plan)
 	}
-	s.wg.Add(len(s.buckets))
+	s.loops.Add(len(s.buckets))
 	for _, b := range s.buckets {
 		go b.loop()
 	}
+	s.workers.Add(cfg.Workers)
+	for i := 0; i < cfg.Workers; i++ {
+		go s.worker()
+	}
 	return s, nil
+}
+
+// worker runs flushes until Close has drained every bucket.
+func (s *Server) worker() {
+	defer s.workers.Done()
+	for job := range s.work {
+		job.run()
+	}
 }
 
 // Metrics returns the registry the server reports into.
@@ -252,7 +269,7 @@ func (s *Server) SortKeys(ctx context.Context, keys []Key) ([]Key, error) {
 }
 
 // Close seals admission and drains gracefully: every admitted request
-// receives its reply, then all bucket loops and flushes exit. ctx (nil means
+// receives its reply, then all bucket loops and workers exit. ctx (nil means
 // Background) bounds the wait; on expiry the drain continues in the
 // background and Close returns ctx.Err(). Close is idempotent and
 // safe to call concurrently.
@@ -262,14 +279,15 @@ func (s *Server) Close(ctx context.Context) error {
 	}
 	if s.closed.CompareAndSwap(false, true) {
 		close(s.drain)
+		go func() {
+			s.loops.Wait()
+			close(s.work)
+			s.workers.Wait()
+			close(s.done)
+		}()
 	}
-	done := make(chan struct{})
-	go func() {
-		s.wg.Wait()
-		close(done)
-	}()
 	select {
-	case <-done:
+	case <-s.done:
 		return nil
 	case <-ctx.Done():
 		return ctx.Err()

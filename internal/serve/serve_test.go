@@ -79,10 +79,80 @@ func awaitReply(t *testing.T, ch <-chan Reply) Reply {
 	}
 }
 
+// submit admits keys or fails the test.
+func submit(t *testing.T, s *Server, ctx context.Context, keys []Key) <-chan Reply {
+	t.Helper()
+	ch, err := s.Submit(ctx, keys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ch
+}
+
+// bucketFor returns the bucket serving n-key requests.
+func bucketFor(t *testing.T, s *Server, n int) *bucket {
+	t.Helper()
+	plan, err := s.planner.For(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s.buckets[plan.idx]
+}
+
+// waitQueued waits until exactly n requests sit in b's admission
+// queue. While every worker is wedged nothing leaves the bucket, so
+// the count only falls as the loop moves requests into its batch.
+func waitQueued(t *testing.T, b *bucket, n int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for len(b.queue) != n {
+		if time.Now().After(deadline) {
+			t.Fatalf("bucket %s queue holds %d requests, want %d", b.plan.Name(), len(b.queue), n)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+}
+
+// wedge parks the only worker of s (Workers: 1, flushGate set to gate)
+// at the gate with a flush carrying in, and returns in's reply channel;
+// one send on gate releases it. MaxBatch probes queued behind in
+// overflow any batch the bucket can hold, so the queue can only empty
+// once the worker has taken the batch in leads. The probes are
+// cancelled before the worker frees, so their flushes drop them
+// without reaching the gate.
+func wedge(t *testing.T, s *Server, gate chan struct{}, in []Key) <-chan Reply {
+	t.Helper()
+	if s.cfg.Workers != 1 || s.flushGate != gate {
+		t.Fatal("wedge needs Workers: 1 and the server's flushGate")
+	}
+	ch := submit(t, s, context.Background(), in)
+	ctx, cancel := context.WithCancel(context.Background())
+	for i := 0; i < s.cfg.MaxBatch; i++ {
+		submit(t, s, ctx, randKeys(len(in), int64(i)))
+	}
+	cancel()
+	waitQueued(t, bucketFor(t, s, len(in)), 0)
+	return ch
+}
+
+// gatedServer builds a single-worker server whose flushes wait at a
+// gate, and wedges that worker with a one-key request, which rides
+// the K2 bucket no other test request uses; the returned gate
+// releases it.
+func gatedServer(t *testing.T, cfg Config) (*Server, chan struct{}) {
+	t.Helper()
+	cfg.Workers = 1
+	s := testServer(t, cfg)
+	gate := make(chan struct{})
+	s.flushGate = gate
+	wedge(t, s, gate, randKeys(1, 0))
+	return s, gate
+}
+
 // TestServerSortsAcrossSizes: the synchronous helper sorts every
 // admissible size correctly, padding and slicing transparently.
 func TestServerSortsAcrossSizes(t *testing.T) {
-	s := testServer(t, Config{MaxLinger: 100 * time.Microsecond})
+	s := testServer(t, Config{})
 	for n := 1; n <= 32; n++ {
 		in := randKeys(n, int64(n))
 		got, err := s.SortKeys(context.Background(), in)
@@ -93,19 +163,68 @@ func TestServerSortsAcrossSizes(t *testing.T) {
 	}
 }
 
+// TestServerLoneRequestFlushesAlone: on an idle server a request is
+// flushed as soon as it arrives, in a batch of its own, however wide
+// MaxBatch lets batches grow.
+func TestServerLoneRequestFlushesAlone(t *testing.T) {
+	s := testServer(t, Config{MaxBatch: 64})
+	for i := 0; i < 8; i++ {
+		in := randKeys(4, int64(i))
+		rep := awaitReply(t, submit(t, s, context.Background(), in))
+		if rep.Err != nil {
+			t.Fatal(rep.Err)
+		}
+		checkSorted(t, rep.Keys, in)
+		if rep.BatchSize != 1 {
+			t.Fatalf("request %d on an idle server: BatchSize = %d, want 1", i, rep.BatchSize)
+		}
+	}
+}
+
+// TestServerBusyBatchWidth: requests that arrive while every worker is
+// busy wait together, and the first min(N, MaxBatch) of them ride one
+// flush; the rest, queued behind a full batch, ride the next.
+func TestServerBusyBatchWidth(t *testing.T) {
+	const maxBatch = 4
+	for _, n := range []int{1, 3, maxBatch, 6} {
+		s, gate := gatedServer(t, Config{MaxBatch: maxBatch})
+		inputs := make([][]Key, n)
+		chans := make([]<-chan Reply, n)
+		for i := range inputs {
+			inputs[i] = randKeys(4, int64(i))
+			chans[i] = submit(t, s, context.Background(), inputs[i])
+		}
+		first := min(n, maxBatch)
+		waitQueued(t, bucketFor(t, s, 4), n-first)
+		close(gate)
+		for i, ch := range chans {
+			rep := awaitReply(t, ch)
+			if rep.Err != nil {
+				t.Fatalf("n=%d request %d: %v", n, i, rep.Err)
+			}
+			checkSorted(t, rep.Keys, inputs[i])
+			want := first
+			if i >= maxBatch {
+				want = n - maxBatch
+			}
+			if rep.BatchSize != want {
+				t.Fatalf("n=%d request %d: BatchSize = %d, want %d", n, i, rep.BatchSize, want)
+			}
+		}
+	}
+}
+
 // TestServerSharedBatch: requests of different sizes that map to the
 // same plan ride one flush, and every reply reports the shared batch.
 func TestServerSharedBatch(t *testing.T) {
-	s := testServer(t, Config{MaxBatch: 4, MaxLinger: time.Minute})
+	s, gate := gatedServer(t, Config{MaxBatch: 4})
 	inputs := [][]Key{randKeys(3, 1), randKeys(4, 2), randKeys(3, 3), randKeys(4, 4)}
 	chans := make([]<-chan Reply, len(inputs))
 	for i, in := range inputs {
-		ch, err := s.Submit(context.Background(), in)
-		if err != nil {
-			t.Fatal(err)
-		}
-		chans[i] = ch
+		chans[i] = submit(t, s, context.Background(), in)
 	}
+	waitQueued(t, bucketFor(t, s, 4), 0)
+	close(gate)
 	for i, ch := range chans {
 		rep := awaitReply(t, ch)
 		if rep.Err != nil {
@@ -130,7 +249,6 @@ func TestServerSharedBatch(t *testing.T) {
 func TestServerQueueFullSheds(t *testing.T) {
 	s := testServer(t, Config{
 		MaxBatch:   1,
-		MaxLinger:  time.Microsecond,
 		QueueDepth: 2,
 		Workers:    1,
 	})
@@ -188,16 +306,15 @@ func TestServerQueueFullSheds(t *testing.T) {
 }
 
 // TestServerDeadlineWhileEnqueued: a context that expires while the
-// request lingers in the bucket is honored at binding time — the
+// request waits for a busy worker is honored at binding time — the
 // request is dropped from the flush with its context error.
 func TestServerDeadlineWhileEnqueued(t *testing.T) {
-	s := testServer(t, Config{MaxBatch: 8, MaxLinger: 150 * time.Millisecond})
+	s, gate := gatedServer(t, Config{MaxBatch: 8})
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
-	ch, err := s.Submit(ctx, randKeys(4, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	ch := submit(t, s, ctx, randKeys(4, 1))
+	<-ctx.Done()
+	close(gate)
 	rep := awaitReply(t, ch)
 	if !errors.Is(rep.Err, context.DeadlineExceeded) {
 		t.Fatalf("reply error = %v, want DeadlineExceeded", rep.Err)
@@ -211,22 +328,15 @@ func TestServerDeadlineWhileEnqueued(t *testing.T) {
 // cancelling it neither aborts the sort nor poisons batchmates — both
 // replies arrive sorted.
 func TestServerMidFlushCancel(t *testing.T) {
-	s := testServer(t, Config{MaxBatch: 2, MaxLinger: time.Minute})
-	gate := make(chan struct{})
-	s.flushGate = gate
-
+	s, gate := gatedServer(t, Config{MaxBatch: 2})
 	ctxA, cancelA := context.WithCancel(context.Background())
 	defer cancelA()
 	inA, inB := randKeys(3, 1), randKeys(4, 2)
-	chA, err := s.Submit(ctxA, inA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	chB, err := s.Submit(context.Background(), inB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gate <- struct{}{} // returns once the flush has bound both requests
+	chA := submit(t, s, ctxA, inA)
+	chB := submit(t, s, context.Background(), inB)
+	waitQueued(t, bucketFor(t, s, 4), 0)
+	gate <- struct{}{} // releases the wedged flush
+	gate <- struct{}{} // returns once the next flush has bound both requests
 	cancelA()          // strictly mid-flush
 	repA, repB := awaitReply(t, chA), awaitReply(t, chB)
 	if repA.Err != nil {
@@ -246,18 +356,14 @@ func TestServerMidFlushCancel(t *testing.T) {
 // binding is dropped with its context error, while its batchmate sorts
 // normally in a now-smaller flush.
 func TestServerEnqueuedCancelSparesBatchmates(t *testing.T) {
-	s := testServer(t, Config{MaxBatch: 2, MaxLinger: time.Minute})
+	s, gate := gatedServer(t, Config{MaxBatch: 2})
 	ctxA, cancelA := context.WithCancel(context.Background())
-	chA, err := s.Submit(ctxA, randKeys(3, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	chA := submit(t, s, ctxA, randKeys(3, 1))
 	cancelA() // cancelled while enqueued: the flush has not started
 	inB := randKeys(4, 2)
-	chB, err := s.Submit(context.Background(), inB) // completes the batch
-	if err != nil {
-		t.Fatal(err)
-	}
+	chB := submit(t, s, context.Background(), inB) // completes the batch
+	waitQueued(t, bucketFor(t, s, 4), 0)
+	close(gate)
 	repA := awaitReply(t, chA)
 	if !errors.Is(repA.Err, context.Canceled) {
 		t.Fatalf("cancelled request error = %v, want Canceled", repA.Err)
@@ -272,22 +378,26 @@ func TestServerEnqueuedCancelSparesBatchmates(t *testing.T) {
 	}
 }
 
-// TestServerGracefulDrain: Close seals admission, every admitted
-// request still gets its sorted reply (across multiple buckets), and
-// the server is idempotently closed afterwards.
+// TestServerGracefulDrain: Close seals admission, every request still
+// waiting for a worker when it does gets its sorted reply (across
+// multiple buckets), and the server is idempotently closed afterwards.
 func TestServerGracefulDrain(t *testing.T) {
-	s := testServer(t, Config{MaxBatch: 100, MaxLinger: time.Hour})
+	s, gate := gatedServer(t, Config{MaxBatch: 100})
 	sizes := []int{3, 4, 3, 7, 8} // two buckets: hypercube^2 and ^3
 	inputs := make([][]Key, len(sizes))
 	chans := make([]<-chan Reply, len(sizes))
 	for i, n := range sizes {
 		inputs[i] = randKeys(n, int64(i))
-		ch, err := s.Submit(context.Background(), inputs[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		chans[i] = ch
+		chans[i] = submit(t, s, context.Background(), inputs[i])
 	}
+	// An already-cancelled Close seals admission and starts the drain
+	// while the worker is still wedged, then returns at once.
+	sealed, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := s.Close(sealed); !errors.Is(err, context.Canceled) {
+		t.Fatalf("close with a wedged worker = %v, want Canceled", err)
+	}
+	close(gate)
 	if err := s.Close(context.Background()); err != nil {
 		t.Fatalf("close: %v", err)
 	}
@@ -325,7 +435,7 @@ func TestServerSubmitValidation(t *testing.T) {
 // TestServerSubmitCopiesKeys: mutating the caller's slice after Submit
 // cannot corrupt the in-flight request.
 func TestServerSubmitCopiesKeys(t *testing.T) {
-	s := testServer(t, Config{MaxBatch: 1, MaxLinger: time.Microsecond})
+	s := testServer(t, Config{MaxBatch: 1})
 	in := []Key{5, 1, 4, 2}
 	ch, err := s.Submit(context.Background(), in)
 	if err != nil {
@@ -342,7 +452,7 @@ func TestServerSubmitCopiesKeys(t *testing.T) {
 // TestServerMetrics: the per-bucket instruments land in the registry
 // under stable names and settle at zero occupancy after the drain.
 func TestServerMetrics(t *testing.T) {
-	s := testServer(t, Config{MaxLinger: 100 * time.Microsecond})
+	s := testServer(t, Config{})
 	for i := 0; i < 8; i++ {
 		if _, err := s.SortKeys(context.Background(), randKeys(4, int64(i))); err != nil {
 			t.Fatal(err)
@@ -375,5 +485,28 @@ func TestServerMetrics(t *testing.T) {
 	stats := s.StoreStats()
 	if stats.Misses != 1 || stats.Hits < 1 {
 		t.Fatalf("store stats = %+v, want 1 miss and >= 1 hit", stats)
+	}
+}
+
+// TestServerWarmFlushAllocs pins the flush path's allocations: once a
+// bucket is warm, a round trip costs only the four objects Submit
+// allocates for the request itself: the request, its key copy, and its
+// reply channel's header and buffer (separate, as Reply holds
+// pointers). The bucket loop, the worker and the flush, batch slice
+// included, allocate nothing.
+func TestServerWarmFlushAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting differs under -race")
+	}
+	s := testServer(t, Config{Workers: 1})
+	in := randKeys(4, 1)
+	roundTrip := func() {
+		if rep := <-submit(t, s, context.Background(), in); rep.Err != nil {
+			t.Fatal(rep.Err)
+		}
+	}
+	roundTrip()
+	if allocs := testing.AllocsPerRun(200, roundTrip); allocs > 4 {
+		t.Fatalf("warm round trip allocates %.1f objects, want at most the 4 Submit makes", allocs)
 	}
 }

@@ -29,7 +29,6 @@ func streamServer(t *testing.T, queueDepth int) *Server {
 	s, err := New(Config{
 		Planner:    pl,
 		QueueDepth: queueDepth,
-		MaxLinger:  200 * time.Microsecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -79,13 +78,25 @@ func TestSubmitStreamSortsBeyondMaxKeys(t *testing.T) {
 // absorbed by resubmission — and never surface to the stream caller.
 func TestSubmitStreamBacksOffInsteadOfShedding(t *testing.T) {
 	s := streamServer(t, 1)
+	// Hold the first flush at the gate until a run has been refused:
+	// its request keeps the depth-1 bucket full, so every other run in
+	// flight meets ErrQueueFull.
+	retries := s.met.Counter("serve.stream.queue_retries")
+	gate := make(chan struct{})
+	s.flushGate = gate
+	go func() {
+		defer close(gate)
+		for deadline := time.Now().Add(10 * time.Second); retries.Value() == 0 && time.Now().Before(deadline); {
+			time.Sleep(100 * time.Microsecond)
+		}
+	}()
 	rng := rand.New(rand.NewSource(7))
 	keys := make([]Key, 40*s.MaxKeys())
 	for i := range keys {
 		keys[i] = Key(rng.Int63())
 	}
 	out := extsort.NewSliceWriter()
-	// 16 concurrent runs against a depth-1 bucket: guaranteed contention.
+	// 16 concurrent runs against a depth-1 bucket.
 	stats, err := s.SubmitStream(context.Background(), extsort.NewSliceReader(keys), out, extsort.Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -96,7 +107,7 @@ func TestSubmitStreamBacksOffInsteadOfShedding(t *testing.T) {
 	if !sort.SliceIsSorted(out.Keys(), func(i, j int) bool { return out.Keys()[i] < out.Keys()[j] }) {
 		t.Fatal("stream output unsorted")
 	}
-	if s.met.Counter("serve.stream.queue_retries").Value() == 0 {
+	if retries.Value() == 0 {
 		t.Fatal("depth-1 queue produced no retries: the backoff path was not exercised")
 	}
 	// Every run must have completed despite the contention: queue-full

@@ -1,9 +1,10 @@
 // Serving: the multi-tenant batching sort service. A Server accepts
 // sort requests of any admissible size, maps each to the cheapest
 // covering compiled network (by predicted rounds), pads it with +inf
-// sentinels, batches it with size-compatible neighbours, and replays
-// the shared phase program once for the whole batch — the agglomeration
-// idiom: many logical sorts, one network execution. Admission is
+// sentinels, batches it with size-compatible neighbours that arrived
+// while every flush worker was busy, and replays the shared phase
+// program once for the whole batch — the agglomeration idiom: many
+// logical sorts, one network execution. Admission is
 // bounded (overload sheds with ErrQueueFull), per-request contexts are
 // honored until a request is bound into a flush, and Close drains
 // gracefully. The submit path is lock-free: plans resolve through an
@@ -17,7 +18,6 @@ package productsort
 import (
 	"context"
 	"errors"
-	"time"
 
 	"productsort/internal/serve"
 	"productsort/internal/sort2d"
@@ -67,12 +67,10 @@ type ServerConfig struct {
 	// MaxKeys sizes the default network set when Networks is empty
 	// (default 4096). Ignored when Networks is given.
 	MaxKeys int
-	// MaxBatch flushes a size bucket when this many requests have
-	// accumulated (default 64).
+	// MaxBatch caps the requests one batch flush carries (default 64).
+	// A size bucket hands its pending requests to the first idle
+	// worker, so batches form only while every worker is busy.
 	MaxBatch int
-	// MaxLinger flushes a non-empty bucket this long after its first
-	// pending request arrived (default 2ms).
-	MaxLinger time.Duration
 	// QueueDepth bounds each bucket's admitted-but-unreplied requests
 	// (default 1024); submissions beyond it shed with ErrQueueFull.
 	QueueDepth int
@@ -175,7 +173,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	s, err := serve.New(serve.Config{
 		Planner:       planner,
 		MaxBatch:      cfg.MaxBatch,
-		MaxLinger:     cfg.MaxLinger,
 		QueueDepth:    cfg.QueueDepth,
 		Workers:       cfg.Workers,
 		PlanCacheSize: cfg.PlanCacheSize,
