@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sort"
 	"strconv"
@@ -29,23 +30,30 @@ type extsortEntry struct {
 	Runs         int64 `json:"runs"`
 	MergePasses  int   `json:"mergePasses"`
 	SpilledBytes int64 `json:"spilledBytes"`
-	// StreamNs is SortStream end to end; SlicesSortNs is slices.Sort
-	// and BaselineNs sort.Slice, each on its own copy of the input.
+	// StreamNs is SortStream end to end at the host's GOMAXPROCS and
+	// Stream1Ns at GOMAXPROCS 1; SlicesSortNs is slices.Sort and
+	// BaselineNs sort.Slice, each on its own copy of the input (both
+	// run on one core whatever GOMAXPROCS is).
 	StreamNs     int64 `json:"streamNs"`
+	Stream1Ns    int64 `json:"stream1Ns"`
 	SlicesSortNs int64 `json:"slicesSortNs"`
 	BaselineNs   int64 `json:"baselineNs"`
 	// The derived throughputs. SlicesSortRatio and Ratio are the
 	// stream's throughput over slices.Sort's and sort.Slice's (>1
-	// means the stream wins).
+	// means the stream wins); SlicesSortRatio1 is the stream's at
+	// GOMAXPROCS 1 over slices.Sort's.
 	StreamKeysPerSec     float64 `json:"streamKeysPerSec"`
+	Stream1KeysPerSec    float64 `json:"stream1KeysPerSec"`
 	SlicesSortKeysPerSec float64 `json:"slicesSortKeysPerSec"`
 	BaselineKeysPerSec   float64 `json:"baselineKeysPerSec"`
 	SlicesSortRatio      float64 `json:"slicesSortRatio"`
+	SlicesSortRatio1     float64 `json:"slicesSortRatio1"`
 	Ratio                float64 `json:"ratio"`
 }
 
 // extsortReport is the BENCH_extsort.json document: a size sweep at
-// the default StreamConfig.
+// the default StreamConfig, the stream timed at the host's GOMAXPROCS
+// (Host.GOMAXPROCS) and at 1.
 type extsortReport struct {
 	Generated string         `json:"generated"`
 	Host      benchHost      `json:"host"`
@@ -81,6 +89,11 @@ func runExtsortBench(path, sizesCSV string, seed int64) error {
 	}
 	fmt.Printf("extsort bench: %s (%d nodes)\n", rep.Network, rep.Nodes)
 
+	// One untimed sort first, so the first cell's stream does not pay
+	// the program's lazy set-up and the heap's first growth.
+	if _, _, err := timeStream(c, make([]productsort.Key, 10_000)); err != nil {
+		return err
+	}
 	var over []int
 	for _, n := range sizes {
 		e, err := extsortCell(c, n, seed)
@@ -88,8 +101,8 @@ func runExtsortBench(path, sizesCSV string, seed int64) error {
 			return err
 		}
 		rep.SizeSweep = append(rep.SizeSweep, e)
-		fmt.Printf("  size %9d: stream %8.0f keys/s, slices.Sort %8.0f keys/s (x%.2f), sort.Slice %8.0f keys/s (x%.2f), %d runs, fan-in %d, %d merge passes\n",
-			n, e.StreamKeysPerSec, e.SlicesSortKeysPerSec, e.SlicesSortRatio, e.BaselineKeysPerSec, e.Ratio, e.Runs, e.FanIn, e.MergePasses)
+		fmt.Printf("  size %9d: stream %8.0f keys/s (1 proc %8.0f), slices.Sort %8.0f keys/s (x%.2f, 1 proc x%.2f), sort.Slice %8.0f keys/s (x%.2f), %d runs, fan-in %d, %d merge passes\n",
+			n, e.StreamKeysPerSec, e.Stream1KeysPerSec, e.SlicesSortKeysPerSec, e.SlicesSortRatio, e.SlicesSortRatio1, e.BaselineKeysPerSec, e.Ratio, e.Runs, e.FanIn, e.MergePasses)
 		if e.MergePasses > maxMergePasses {
 			over = append(over, n)
 		}
@@ -104,7 +117,8 @@ func runExtsortBench(path, sizesCSV string, seed int64) error {
 }
 
 // extsortCell runs one measurement: n keys through SortStream with the
-// default StreamConfig, then slices.Sort and sort.Slice over copies.
+// default StreamConfig at the host's GOMAXPROCS and at 1, then
+// slices.Sort and sort.Slice over copies.
 func extsortCell(c *productsort.CompiledNetwork, n int, seed int64) (extsortEntry, error) {
 	if n < 1 {
 		return extsortEntry{}, fmt.Errorf("extsort bench: size %d < 1", n)
@@ -115,18 +129,19 @@ func extsortCell(c *productsort.CompiledNetwork, n int, seed int64) (extsortEntr
 		keys[i] = productsort.Key(rng.Int63() - 1<<62)
 	}
 
-	start := time.Now()
-	got, stats, err := c.SortStreamKeys(context.Background(), keys, productsort.StreamConfig{})
-	streamNs := time.Since(start).Nanoseconds()
+	stats, streamNs, err := timeStream(c, keys)
 	if err != nil {
-		return extsortEntry{}, fmt.Errorf("extsort bench: SortStream(n=%d): %w", n, err)
+		return extsortEntry{}, err
 	}
-	if len(got) != n || !slices.IsSorted(got) {
-		return extsortEntry{}, fmt.Errorf("extsort bench: SortStream(n=%d) output unsorted or truncated (%d keys)", n, len(got))
+	prev := runtime.GOMAXPROCS(1)
+	_, stream1Ns, err := timeStream(c, keys)
+	runtime.GOMAXPROCS(prev)
+	if err != nil {
+		return extsortEntry{}, err
 	}
 
 	base := slices.Clone(keys)
-	start = time.Now()
+	start := time.Now()
 	slices.Sort(base)
 	slicesNs := time.Since(start).Nanoseconds()
 
@@ -144,14 +159,34 @@ func extsortCell(c *productsort.CompiledNetwork, n int, seed int64) (extsortEntr
 		MergePasses:          stats.MergePasses,
 		SpilledBytes:         stats.SpilledBytes,
 		StreamNs:             streamNs,
+		Stream1Ns:            stream1Ns,
 		SlicesSortNs:         slicesNs,
 		BaselineNs:           baseNs,
 		StreamKeysPerSec:     perSec(streamNs),
+		Stream1KeysPerSec:    perSec(stream1Ns),
 		SlicesSortKeysPerSec: perSec(slicesNs),
 		BaselineKeysPerSec:   perSec(baseNs),
 		SlicesSortRatio:      float64(slicesNs) / float64(streamNs),
+		SlicesSortRatio1:     float64(slicesNs) / float64(stream1Ns),
 		Ratio:                float64(baseNs) / float64(streamNs),
 	}, nil
+}
+
+// timeStream sorts keys through SortStreamKeys with the default
+// StreamConfig, checks the output is sorted and complete, and returns
+// the stats and the wall time.
+func timeStream(c *productsort.CompiledNetwork, keys []productsort.Key) (*productsort.StreamStats, int64, error) {
+	n := len(keys)
+	start := time.Now()
+	got, stats, err := c.SortStreamKeys(context.Background(), keys, productsort.StreamConfig{})
+	ns := time.Since(start).Nanoseconds()
+	if err != nil {
+		return nil, 0, fmt.Errorf("extsort bench: SortStream(n=%d): %w", n, err)
+	}
+	if len(got) != n || !slices.IsSorted(got) {
+		return nil, 0, fmt.Errorf("extsort bench: SortStream(n=%d) output unsorted or truncated (%d keys)", n, len(got))
+	}
+	return stats, ns, nil
 }
 
 // parseInts parses a comma-separated list of positive integers.

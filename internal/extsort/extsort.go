@@ -19,15 +19,20 @@
 // length.
 //
 // Memory is bounded: sorted runs beyond the configured resident-key
-// budget spill to a temp file (sequential segment writes, positional
-// segment reads) and intermediate merge passes stream spill-to-spill.
-// The merge fan-in is derived, not configured: the widest merge whose
-// read buffers fit the budget, narrowed to the fewest passes the run
-// count needs (at most 2 up to 261,121 runs at the default budget), so
-// peak residency is O(MemoryKeys) regardless of input length. The
-// whole pipeline is cancellable between stages via context and
-// instrumented with extsort.* counters and per-stage latency
-// histograms.
+// budget spill to a temp file (segments written to reserved ranges,
+// positional segment reads) and intermediate merge passes stream
+// spill-to-spill. The merge fan-in is derived, not configured: the
+// widest merge whose read buffers fit the budget, narrowed to the
+// fewest passes the run count needs (at most 2 up to 261,121 runs at
+// the default budget), so peak residency is O(MemoryKeys) regardless
+// of input length. The merge runs on every core: intermediate groups
+// merge concurrently, and the final pass merges disjoint key-range
+// partitions concurrently while the calling goroutine writes them in
+// order; how many merges run at once, the partition size and the
+// output in flight are derived from MemoryKeys and GOMAXPROCS, and
+// the output and Stats do not depend on either. The whole pipeline is
+// cancellable between stages via context and instrumented with
+// extsort.* counters and per-stage and per-pass latency histograms.
 package extsort
 
 import (
@@ -126,6 +131,9 @@ type Stats struct {
 	RunFormNs int64 `json:"runFormNs"`
 	RunSortNs int64 `json:"runSortNs"`
 	MergeNs   int64 `json:"mergeNs"`
+	// MergePassNs is each merge pass's wall time, in pass order; the
+	// last entry is the final pass, which includes the sink's writes.
+	MergePassNs []int64 `json:"mergePassNs"`
 }
 
 // metrics bundles the extsort.* instruments; all nil when no registry
@@ -138,6 +146,7 @@ type metrics struct {
 	fanIn       *obs.Histogram
 	runSortNs   *obs.Histogram
 	mergeNs     *obs.Histogram
+	passNs      *obs.Histogram
 	runFormNs   *obs.Histogram
 }
 
@@ -158,6 +167,7 @@ func newMetrics(m *obs.Metrics) *metrics {
 		fanIn:       m.Histogram("extsort.merge.fanin", FanInBuckets),
 		runSortNs:   m.Histogram("extsort.runsort_ns", obs.DurationBucketsNs),
 		mergeNs:     m.Histogram("extsort.merge_ns", obs.DurationBucketsNs),
+		passNs:      m.Histogram("extsort.merge.pass_ns", obs.DurationBucketsNs),
 		runFormNs:   m.Histogram("extsort.runform_ns", obs.DurationBucketsNs),
 	}
 }

@@ -6,10 +6,14 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"reflect"
+	"runtime"
+	"slices"
 	"sort"
 	"testing"
 
 	"productsort/internal/graph"
+	"productsort/internal/obs"
 	"productsort/internal/product"
 	"productsort/internal/schedule"
 	"productsort/internal/sort2d"
@@ -325,7 +329,7 @@ func TestLoserTreeMerge(t *testing.T) {
 			all = append(all, run...)
 			handles[i] = runHandle{mem: run}
 		}
-		lt := newLoserTree(nil, handles, &Stats{}, nil)
+		lt := newLoserTree(handles, newScratch(nil))
 		var got []Key
 		for {
 			v, ok := lt.pop()
@@ -339,16 +343,6 @@ func TestLoserTreeMerge(t *testing.T) {
 		}
 		checkEqual(t, all, got, fmt.Sprintf("k=%d", k))
 	}
-}
-
-// mergePasses is how many passes merging runs in groups of k takes:
-// mergeRuns' loop, without the merging.
-func mergePasses(runs, k int) int {
-	passes := 1
-	for ; runs > k; runs = (runs + k - 1) / k {
-		passes++
-	}
-	return passes
 }
 
 // TestMergeWidth: the derived fan-in takes one pass while the runs fit
@@ -435,3 +429,121 @@ func TestMergeFreesConsumedRuns(t *testing.T) {
 	}
 	checkEqual(t, keys, out.Keys(), "merged")
 }
+
+// withProcs runs fn at GOMAXPROCS procs and restores the old value.
+func withProcs(procs int, fn func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	fn()
+}
+
+// TestMergeIndependentOfProcs: the merge runs on every core, but its
+// output and every non-timing Stats field are the same at GOMAXPROCS
+// 1, 2 and 4 — across one resident pass, a spilling pass and
+// multi-pass budgets — and MergePassNs has one entry per pass, which
+// the extsort.merge.pass_ns histogram also counts.
+func TestMergeIndependentOfProcs(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	keys := make([]Key, 100_000)
+	for i := range keys {
+		keys[i] = Key(rng.Int63n(1<<20) - 1<<19) // duplicates across runs
+	}
+	for _, memoryKeys := range []int{0, 3 * spillBufKeys, 5 * spillBufKeys, 64 * spillBufKeys} {
+		var (
+			want      []Key
+			wantStats Stats
+		)
+		for _, procs := range []int{1, 2, 4} {
+			m := obs.NewMetrics()
+			var (
+				out   *SliceWriter
+				stats *Stats
+				err   error
+			)
+			withProcs(procs, func() {
+				out = NewSliceWriter()
+				cfg := Config{MemoryKeys: memoryKeys, SpillDir: t.TempDir(), Metrics: m}
+				stats, err = Sort(context.Background(), NewSliceReader(keys), out, SliceSorter{Max: 512}, cfg)
+			})
+			if err != nil {
+				t.Fatalf("budget %d, procs %d: %v", memoryKeys, procs, err)
+			}
+			if len(stats.MergePassNs) != stats.MergePasses {
+				t.Fatalf("budget %d, procs %d: %d pass times for %d passes", memoryKeys, procs, len(stats.MergePassNs), stats.MergePasses)
+			}
+			if n := m.Histogram("extsort.merge.pass_ns", obs.DurationBucketsNs).Count(); n != int64(stats.MergePasses) {
+				t.Fatalf("budget %d, procs %d: extsort.merge.pass_ns counted %d passes, want %d", memoryKeys, procs, n, stats.MergePasses)
+			}
+			got := *stats
+			got.RunFormNs, got.RunSortNs, got.MergeNs, got.MergePassNs = 0, 0, 0, nil
+			if procs == 1 {
+				want, wantStats = out.Keys(), got
+				checkEqual(t, keys, want, fmt.Sprintf("budget %d", memoryKeys))
+				continue
+			}
+			if !slices.Equal(out.Keys(), want) {
+				t.Fatalf("budget %d: output at GOMAXPROCS %d differs from GOMAXPROCS 1", memoryKeys, procs)
+			}
+			if !reflect.DeepEqual(got, wantStats) {
+				t.Fatalf("budget %d: stats at GOMAXPROCS %d = %+v, at 1 = %+v", memoryKeys, procs, got, wantStats)
+			}
+		}
+	}
+}
+
+// TestFinalMergeSkewedKeys: when every key is equal, or there are only
+// two, the splitters coincide and one partition holds most keys. The
+// merge still sorts, and however far the workers run ahead of a slow
+// writer, the output blocks in flight stay within the derived bound.
+func TestFinalMergeSkewedKeys(t *testing.T) {
+	inputs := map[string]func(i int) Key{
+		"all-equal": func(int) Key { return 42 },
+		"two-valued": func(i int) Key {
+			if i%3 == 0 {
+				return -1
+			}
+			return 1
+		},
+	}
+	for name, key := range inputs {
+		for _, workers := range []int{1, 2, 4} {
+			t.Run(fmt.Sprintf("%s/workers%d", name, workers), func(t *testing.T) {
+				stats := &Stats{}
+				// Half the runs stay resident, half spill with fences.
+				st := newRunStore(t.TempDir(), 32*spillBufKeys, stats, nil)
+				defer st.close()
+				var keys []Key
+				for r := range 64 {
+					run := make([]Key, spillBufKeys)
+					for i := range run {
+						run[i] = key(r*len(run) + i)
+					}
+					keys = append(keys, run...)
+					if err := st.add(oracle(run)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				fm := newFinalMerge(3*spillBufKeys, workers)
+				if parts := len(splitters(st.runs, fm.partKeys())) + 1; parts < 8 {
+					t.Fatalf("%d partitions, want several", parts)
+				}
+				out := NewSliceWriter()
+				slow := writerFunc(func(b []Key) error {
+					runtime.Gosched() // let the workers run ahead
+					return out.Write(b)
+				})
+				if err := fm.run(context.Background(), st.file, st.runs, slow); err != nil {
+					t.Fatal(err)
+				}
+				checkEqual(t, keys, out.Keys(), name)
+				if made, bound := fm.made.Load(), int64(fm.maxBlocks()); made > bound {
+					t.Fatalf("%d output blocks in flight, bound %d", made, bound)
+				}
+			})
+		}
+	}
+}
+
+// writerFunc adapts a function to Writer.
+type writerFunc func([]Key) error
+
+func (f writerFunc) Write(keys []Key) error { return f(keys) }

@@ -37,6 +37,8 @@ const (
 // writes the fully sorted stream to dst. Unlike Submit it never sheds:
 // requests larger than any serving network become multiple runs, and
 // ErrQueueFull inside the run lane becomes backoff-and-resubmit. The
+// merge runs outside the worker pool on up to GOMAXPROCS goroutines,
+// so it competes with point traffic for CPU while it lasts. The
 // extsort.* instruments land in the server's registry (cfg.Metrics is
 // overwritten). It returns the extsort accounting (runs, merge passes,
 // spill traffic) or the first hard error (context, source, sink,

@@ -4,10 +4,10 @@
 // length — chunk the stream into runs, sort each run through a
 // certified fixed-size network (sentinel padding for the ragged tail,
 // THEORY.md §12), loser-tree k-way merge the runs (the paper's Section
-// 3 multiway merge in software), spilling past the memory budget to
-// disk. THEORY.md §15 gives the agglomeration argument: certified
-// runs plus a correct k-way merge compose into a provably correct
-// sorter for unbounded inputs.
+// 3 multiway merge in software, on every core), spilling past the
+// memory budget to disk. THEORY.md §15 gives the agglomeration
+// argument: certified runs plus a correct k-way merge compose into a
+// provably correct sorter for unbounded inputs.
 
 package productsort
 
@@ -79,12 +79,22 @@ func (c *CompiledNetwork) SortStream(ctx context.Context, src KeyReader, dst Key
 // SortStreamKeys is the in-memory convenience: sort keys of any length
 // through the streaming tier and return a fresh sorted slice.
 func (c *CompiledNetwork) SortStreamKeys(ctx context.Context, keys []Key, cfg StreamConfig) ([]Key, *StreamStats, error) {
-	out := NewKeysWriter()
-	stats, err := c.SortStream(ctx, NewKeysReader(keys), out, cfg)
+	out := make(keySink, 0, len(keys))
+	stats, err := c.SortStream(ctx, NewKeysReader(keys), &out, cfg)
 	if err != nil {
 		return nil, stats, err
 	}
-	return out.Keys(), stats, nil
+	return out, stats, nil
+}
+
+// keySink collects SortStreamKeys' output into a slice sized once to
+// the input, so the output is never regrown and copied.
+type keySink []Key
+
+// Write implements KeyWriter.
+func (s *keySink) Write(keys []Key) error {
+	*s = append(*s, keys...)
+	return nil
 }
 
 // SubmitStream is the server's large-request lane: it sorts a key
@@ -94,8 +104,10 @@ func (c *CompiledNetwork) SortStreamKeys(ctx context.Context, keys []Key, cfg St
 // k-way merging the sorted runs. Where Submit sheds oversized requests
 // with ErrRequestTooLarge and overload with ErrQueueFull, SubmitStream
 // degrades to run-at-a-time admission: any length is accepted, and
-// queue-full inside the lane becomes backoff-and-resubmit. The
-// extsort.* instruments land in the server's metrics registry.
+// queue-full inside the lane becomes backoff-and-resubmit. The merge
+// runs on every core, so it shares them with point traffic while it
+// lasts. The extsort.* instruments land in the server's metrics
+// registry.
 func (s *Server) SubmitStream(ctx context.Context, src KeyReader, dst KeyWriter, cfg StreamConfig) (*StreamStats, error) {
 	return s.s.SubmitStream(ctx, src, dst, cfg.extsortConfig())
 }
